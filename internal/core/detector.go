@@ -41,7 +41,7 @@ type Detector struct {
 	rank int
 	size int
 	env  *cluster.Container
-	seg  *shmem.Segment
+	list []byte // the shared container list's bytes
 }
 
 // NewDetector attaches (creating if first) the host-wide container list for
@@ -57,13 +57,13 @@ func NewDetector(reg *shmem.Registry, jobID string, env *cluster.Container, rank
 	if err != nil {
 		return nil, fmt.Errorf("locality detector: %w", err)
 	}
-	return &Detector{rank: rank, size: size, env: env, seg: seg}, nil
+	return &Detector{rank: rank, size: size, env: env, list: seg.Bytes()}, nil
 }
 
 // Publish writes this rank's membership byte at its global-rank position.
 // Lock-free by construction: distinct ranks write distinct bytes.
 func (d *Detector) Publish() {
-	d.seg.Data[d.rank] = 1
+	d.list[d.rank] = 1
 }
 
 // Locality is the result of a detection round, from one rank's viewpoint.
@@ -92,7 +92,7 @@ func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 // completes, the real communication can take place".
 func (d *Detector) Snapshot() Locality {
 	loc := Locality{coResident: make([]bool, d.size), LocalIndex: -1}
-	for r, b := range d.seg.Data[:d.size] {
+	for r, b := range d.list[:d.size] {
 		if b == 0 {
 			continue
 		}

@@ -77,3 +77,55 @@ func TestHCAEagerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("HCA eager send allocates %.3f/message in steady state; want ~0", per)
 	}
 }
+
+// TestShmRingSegmentHoldsNoBytes pins that an SHM eager ring's segment is
+// sized like the paper's per-pair buffer but never backed by memory — its
+// packets travel as Go values — while the locality detector's container
+// list stays one byte array shared by every co-resident rank.
+func TestShmRingSegmentHoldsNoBytes(t *testing.T) {
+	w := testWorld(t, "2cont", 2, DefaultOptions())
+	err := w.Run(func(r *Rank) error {
+		buf := make([]byte, 512)
+		for i := 0; i < 8; i++ {
+			if r.Rank() == 0 {
+				r.Send(1, 0, buf)
+				r.Recv(1, 1, buf)
+			} else {
+				r.Recv(0, 0, buf)
+				r.Send(0, 1, buf)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := w.pair(0, 1).ring
+	if ring == nil {
+		t.Fatal("ping-pong between co-resident containers created no SHM ring")
+	}
+	if want := 2 * w.Opts.Tunables.SMPLengthQueue; ring.seg.Size != want {
+		t.Errorf("ring segment Size = %d, want 2*SMPLengthQueue = %d", ring.seg.Size, want)
+	}
+	if n := ring.seg.Resident(); n != 0 {
+		t.Errorf("ring segment holds %d bytes, want 0", n)
+	}
+	name := core.LocalitySegmentPrefix + w.jobID
+	s0, err := w.shm.Attach(w.ranks[0].env, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := w.shm.Attach(w.ranks[1].env, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s0 != s1 {
+		t.Fatal("co-resident containers attached different detector segments")
+	}
+	if s0.Resident() != s0.Size {
+		t.Errorf("detector segment holds %d of %d bytes", s0.Resident(), s0.Size)
+	}
+	if list := s0.Bytes(); list[0] != 1 || list[1] != 1 {
+		t.Errorf("detector list = %v, want both ranks published", list[:2])
+	}
+}

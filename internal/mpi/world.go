@@ -65,11 +65,13 @@ type World struct {
 	pmiArrived int
 	pmiLatest  sim.Time
 
-	// pairTab holds every rank pair's connection state, preallocated flat
-	// (triangular index) so pair() is a read-only lookup — safe from any
-	// epoch group, with each entry touched only by groups owning one of the
-	// pair's rank resources.
-	pairTab    []pairShared
+	// pairTab holds every rank pair's connection state by triangular index.
+	// An entry is created on first use — most pairs of a large world never
+	// talk — and published by compare-and-swap, so ranks running in
+	// concurrent epoch groups may race to create the same pair. Each entry's
+	// fields are touched only by groups owning one of the pair's rank
+	// resources.
+	pairTab    []atomic.Pointer[pairShared]
 	winTable   map[int]*winExchange
 	detLock    map[*cluster.Host]sim.Time // per-host lock free-time (LockedDetector ablation)
 	ctxCounter int                        // last communicator context id handed out
@@ -139,13 +141,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		decay:      resolveFootprintDecay(opts.FootprintDecay),
 	}
 	n := d.Size()
-	w.pairTab = make([]pairShared, n*(n-1)/2)
-	for hi := 1; hi < n; hi++ {
-		for lo := 0; lo < hi; lo++ {
-			ps := &w.pairTab[pairIdx(lo, hi)]
-			ps.lo, ps.hi = lo, hi
-		}
-	}
+	w.pairTab = make([]atomic.Pointer[pairShared], n*(n-1)/2)
 	// Machine execution mode for this world size (CMPI_SIM_ENGINE override).
 	// Blocking rank bodies always run on goroutines; the mode matters for
 	// machine ranks (World.RunMachine) and machine-based procs sharing the
@@ -503,8 +499,8 @@ func (w *World) pmiArrive(r *Rank) (gen int, released bool) {
 	return gen, false
 }
 
-// pairShared is the per-pair connection state. All entries are preallocated
-// in World.pairTab; under epoch dispatch an entry is only touched from groups
+// pairShared is the per-pair connection state, created on first use in
+// World.pairTab. Under epoch dispatch an entry is only touched from groups
 // owning at least one of the pair's rank resources, and any cross-rank access
 // is covered by the claim protocol (Rank.claimPair).
 type pairShared struct {
@@ -569,9 +565,20 @@ func pairIdx(a, b int) int {
 	return b*(b-1)/2 + a
 }
 
-// pair returns the shared state for a rank pair.
+// pair returns the shared state for a rank pair, creating it on first use.
+// Both ranks of a pair may ask first from concurrent epoch groups: the
+// compare-and-swap keeps one fresh entry, which is all either could see.
 func (w *World) pair(a, b int) *pairShared {
-	return &w.pairTab[pairIdx(a, b)]
+	slot := &w.pairTab[pairIdx(a, b)]
+	if ps := slot.Load(); ps != nil {
+		return ps
+	}
+	lo, hi := a, b
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	slot.CompareAndSwap(nil, &pairShared{lo: lo, hi: hi})
+	return slot.Load()
 }
 
 // resRank is the epoch-dispatch resource id for a rank's private state.
@@ -650,6 +657,8 @@ func (r *Rank) ringFor(peer int) (*shmRing, error) {
 		}
 		name := fmt.Sprintf("cmpi.ring.%s.%d-%d", r.w.jobID, ps.lo, ps.hi)
 		// Two directions, each with a full SMPI_LENGTH_QUEUE of capacity.
+		// The segment is never backed by memory: the ring's packets travel
+		// as Go values and only its capacity is modeled.
 		seg, err := r.w.shm.CreateOrAttach(r.env, name, 2*r.w.Opts.Tunables.SMPLengthQueue)
 		if err != nil {
 			ps.shmErr = fmt.Errorf("shm ring %d<->%d: %w", ps.lo, ps.hi, err)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"cmpi/internal/cluster"
@@ -163,4 +164,52 @@ func TestLocalRanksMatchesModeView(t *testing.T) {
 	}
 	check(core.ModeDefault, 2)
 	check(core.ModeLocalityAware, 4)
+}
+
+// TestPairCreatedOnceUnderConcurrentFirstUse pins the lazily filled pair
+// table: both ranks of a pair may ask for it first from concurrent epoch
+// groups, and every caller must get the one entry, keyed (lo, hi).
+func TestPairCreatedOnceUnderConcurrentFirstUse(t *testing.T) {
+	w := testWorld(t, "2cont", 8, DefaultOptions())
+	const callers = 4
+	got := make([][]*pairShared, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := 0; a < 8; a++ {
+				for b := 0; b < 8; b++ {
+					if a != b {
+						if c%2 == 0 {
+							got[c] = append(got[c], w.pair(a, b))
+						} else {
+							got[c] = append(got[c], w.pair(b, a))
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	i := 0
+	for a := 0; a < 8; a++ {
+		for b := 0; b < 8; b++ {
+			if a == b {
+				continue
+			}
+			ps := got[0][i]
+			lo, hi := min(a, b), max(a, b)
+			if ps.lo != lo || ps.hi != hi {
+				t.Fatalf("pair(%d, %d) keyed (%d, %d)", a, b, ps.lo, ps.hi)
+			}
+			for c := 1; c < callers; c++ {
+				if got[c][i] != ps {
+					t.Fatalf("pair(%d, %d): caller %d got a different entry", a, b, c)
+				}
+			}
+			i++
+		}
+	}
 }

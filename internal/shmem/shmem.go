@@ -13,15 +13,41 @@ import (
 	"cmpi/internal/cluster"
 )
 
-// Segment is one shared-memory object. Data is the real backing store: all
-// simulated ranks attached to the segment read and write the same bytes.
+// Segment is one shared-memory object. Its bytes are the real backing
+// store — all simulated ranks attached to the segment read and write the
+// same bytes — but they are allocated only when a caller first asks for
+// them (Bytes). A segment whose contents are modeled elsewhere, such as an
+// SHM eager ring whose packets travel as Go values, never holds memory.
 type Segment struct {
 	// Name is the segment's key within its namespace (e.g. "locality").
 	Name string
 	// NS is the owning IPC namespace.
 	NS *cluster.Namespace
-	// Data is the segment contents.
-	Data []byte
+	// Size is the segment length in bytes, as requested at creation.
+	Size int
+
+	mu   sync.Mutex
+	data []byte
+}
+
+// Bytes returns the segment contents, backing the segment with Size zeroed
+// bytes on first use. Every attach sees the same bytes; safe for concurrent
+// callers.
+func (s *Segment) Bytes() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.data == nil {
+		s.data = make([]byte, s.Size)
+	}
+	return s.data
+}
+
+// Resident reports how many bytes of memory back the segment: Size once
+// Bytes has been called, zero before.
+func (s *Segment) Resident() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.data)
 }
 
 type segKey struct {
@@ -42,7 +68,7 @@ type AttachTraceHook func(env *cluster.Container, name string)
 // The table itself is mutex-protected: under the engine's parallel epoch
 // dispatch, independent rank pairs may attach distinct segments concurrently
 // (segment contents are still only touched by ranks whose footprints cover
-// them, so Data needs no lock).
+// them, so the contents need no lock).
 type Registry struct {
 	mu          sync.Mutex
 	segs        map[segKey]*Segment
@@ -89,13 +115,13 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if seg, ok := r.segs[key]; ok {
-		if size > len(seg.Data) {
+		if size > seg.Size {
 			return nil, fmt.Errorf("shmem: segment %q exists with size %d, attach wants %d",
-				name, len(seg.Data), size)
+				name, seg.Size, size)
 		}
 		return seg, nil
 	}
-	seg := &Segment{Name: name, NS: ns, Data: make([]byte, size)}
+	seg := &Segment{Name: name, NS: ns, Size: size}
 	r.segs[key] = seg
 	return seg, nil
 }

@@ -33,8 +33,8 @@ func TestSharedIPCSeesSameSegment(t *testing.T) {
 	if sa != sb {
 		t.Fatal("containers sharing host IPC namespace must attach the same segment")
 	}
-	sa.Data[7] = 42
-	if sb.Data[7] != 42 {
+	sa.Bytes()[7] = 42
+	if sb.Bytes()[7] != 42 {
 		t.Fatal("write through one attach not visible through the other")
 	}
 	if r.Count() != 1 {
@@ -53,8 +53,8 @@ func TestIsolatedIPCGetsPrivateSegment(t *testing.T) {
 	if sa == sb {
 		t.Fatal("isolated containers must not share segments")
 	}
-	sa.Data[0] = 1
-	if sb.Data[0] != 0 {
+	sa.Bytes()[0] = 1
+	if sb.Bytes()[0] != 0 {
 		t.Fatal("isolation violated")
 	}
 	if _, err := r.Attach(b, "only-in-a"); err == nil {
@@ -119,13 +119,13 @@ func TestUnlink(t *testing.T) {
 		t.Error("double unlink should fail")
 	}
 	// Existing reference still usable (shm_unlink semantics).
-	seg.Data[0] = 9
+	seg.Bytes()[0] = 9
 	// And the name is free for a fresh segment.
 	seg2, err := r.CreateOrAttach(env, "gone", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg2 == seg || seg2.Data[0] != 0 {
+	if seg2 == seg || seg2.Bytes()[0] != 0 {
 		t.Error("unlinked name must map to a fresh segment")
 	}
 }
@@ -144,8 +144,8 @@ func TestSegmentIsolationProperty(t *testing.T) {
 		b, _ := h.RunContainer(cluster.RunOpts{ShareHostIPC: shareB})
 		sa, _ := r.CreateOrAttach(a, "p", 4)
 		sb, _ := r.CreateOrAttach(b, "p", 4)
-		sa.Data[1] = val
-		visible := sb.Data[1] == val
+		sa.Bytes()[1] = val
+		visible := sb.Bytes()[1] == val
 		shared := shareA && shareB
 		if val == 0 {
 			return true // write indistinguishable from zero value

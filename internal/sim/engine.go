@@ -43,11 +43,13 @@ type Engine struct {
 	stats Stats
 
 	// Parallel dispatch state (epoch.go).
-	workers       int
-	anyFootprint  bool
+	workers      int
+	anyFootprint bool
+	// ep is the reused epoch bookkeeping; epoch points at it only while an
+	// epoch's groups execute (nil in scheduler context and sequential runs).
+	ep            epochState
 	epoch         *epochState
 	epochID       uint64
-	ufParent      map[Res]Res
 	epochDepthMax int
 	// phaseShift is raised at commit when an epoch's regroup yields crossed
 	// the storm threshold — a communication-pattern switch — and consumed by
@@ -166,7 +168,7 @@ func DefaultWorkers() int {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{workers: DefaultWorkers(), ufParent: make(map[Res]Res)}
+	return &Engine{workers: DefaultWorkers()}
 }
 
 // SetWorkers pins the epoch dispatch width; n <= 0 restores the default.

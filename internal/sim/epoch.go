@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,7 +14,7 @@ import (
 // callback is tagged with resources (AtRes/AtArg), Run switches from the
 // legacy sequential loop to epoch dispatch:
 //
-//  1. Formation (scheduler context): pop every pending event in (t, seq)
+//  1. Formation (scheduler context): take every pending event in (t, seq)
 //     order, ask each event what resources it touches — a process event pulls
 //     the process's FootprintFn, a callback event carries its own tags, and
 //     anything undeclared touches Global — and union the resources into
@@ -30,6 +31,14 @@ import (
 //     merge into the engine's Stats, and the earliest failure (by virtual
 //     time, then group index) wins — byte-identical results for any width.
 //
+// Formation and commit cost time linear in the pending events plus one sort
+// of compact keys, and allocate nothing once the engine's reused tables,
+// groups and buffers have grown to the run's working size: resources index
+// dense slices (Res ids are small and dense), a sorted event slice is
+// already a valid heap, so group heaps and the re-committed global heap are
+// filled by appending, and only the table entries the last epoch touched are
+// reset.
+//
 // Soundness rests on the footprint contract: while a process runs inside a
 // group it may only touch state covered by the resources its FootprintFn
 // declared at formation. A process that needs a resource its group does not
@@ -43,13 +52,49 @@ import (
 // worker counts, so grouping — and therefore every result — is too.
 const epochQuota = 256
 
-// epochState is the per-epoch bookkeeping shared by formation and commit.
+// epochState is the per-epoch bookkeeping shared by formation, execution
+// and commit. The engine owns one and reuses it, with every table and group
+// in it, across epochs.
 type epochState struct {
 	groups []*execGroup
-	// resOwner maps each resource claimed this epoch to its owning group.
-	resOwner map[Res]*execGroup
+	// owner maps each resource claimed this epoch, indexed by Res, to its
+	// owning group; nil for resources the epoch does not claim. Written only
+	// at formation, read concurrently by group execution.
+	owner []*execGroup
+	// parent is the formation's union-find forest over resources, indexed by
+	// Res; -1 marks a resource the current epoch has not touched.
+	parent []Res
+	// touched lists the resources with live parent/owner entries, so the next
+	// formation resets exactly those.
+	touched []Res
+	// keys and spare are sort scratch: formation's (t, seq) order, commit's
+	// (t, group, seq) re-sequencing and the emission flush.
+	keys  []evKey
+	spare []event
 	// id increments every epoch (footprint memoization keys off it).
 	id uint64
+}
+
+// evKey is the compact sort key standing in for an event (or an emission)
+// while it is ordered: virtual time, owning group index, sequence number,
+// and the position of the keyed item in its source slice.
+type evKey struct {
+	t   Time
+	seq uint64
+	grp int32
+	idx int32
+}
+
+// cmpKey orders keys by (t, group, seq) — a total order, since seq is unique
+// within a group, so every sort of the same keys agrees.
+func cmpKey(a, b evKey) int {
+	switch {
+	case a.t != b.t:
+		return cmp.Compare(a.t, b.t)
+	case a.grp != b.grp:
+		return cmp.Compare(a.grp, b.grp)
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // execGroup is one causally independent partition of an epoch's events. Its
@@ -68,8 +113,8 @@ type execGroup struct {
 	quota int
 	// stats accumulates this group's scheduler counters, merged at commit.
 	stats Stats
-	// spill collects events to re-commit to the global heap: quota leftovers
-	// and YieldRegroup reschedules.
+	// spill collects events to re-commit to the global heap beside the
+	// heap's own leftovers: YieldRegroup reschedules and carried-over wakes.
 	spill []event
 	// emits buffers observer payloads (Proc.Emit/Engine.EmitAt) produced
 	// during this group's execution; commitEpoch flushes them to the engine's
@@ -112,7 +157,8 @@ func (g *execGroup) fail(err error) {
 
 // run dispatches the group's events in (t, seq) order until the local heap
 // drains, the quota is spent, or the engine stops. This is the legacy
-// sequential loop, scoped to one group.
+// sequential loop, scoped to one group. Whatever the heap still holds
+// carries over to the next epoch: commit reads it in place.
 func (g *execGroup) run() {
 	e := g.eng
 	for g.quota > 0 && g.pq.len() > 0 && !e.stopped.Load() {
@@ -154,101 +200,166 @@ func (g *execGroup) run() {
 			e.releaseProc(p, g)
 		}
 	}
-	// Whatever remains carries over to the next epoch via commit.
-	for g.pq.len() > 0 {
-		g.spill = append(g.spill, g.pq.pop())
-	}
 }
 
 // formEpoch partitions every pending event into independence groups. Called
 // in scheduler context; deterministic for a given heap state.
 func (e *Engine) formEpoch() *epochState {
-	ep := &epochState{resOwner: make(map[Res]*execGroup), id: e.epochID + 1}
+	ep := &e.ep
+	ep.id = e.epochID + 1
 	e.epochID = ep.id
+	for _, r := range ep.touched {
+		ep.parent[r] = -1
+		ep.owner[r] = nil
+	}
+	ep.touched = ep.touched[:0]
 
-	// Pop all pending events in (t, seq) order, resolving each event's
-	// resource set. Union-find over resources: parent[r] is a group index.
-	type formed struct {
-		ev  event
-		res []Res
-	}
-	evs := make([]formed, 0, e.pq.len())
-	if len(e.pq.ev) > 0 {
-		e.now = e.pq.ev[0].t // epoch floor; monotone because spills never precede it
-	}
-	for e.pq.len() > 0 {
-		ev := e.pq.pop()
-		evs = append(evs, formed{ev: ev, res: e.eventRes(ev, ep.id)})
-	}
+	evs := e.takePending()
+	e.now = evs[0].t // epoch floor; monotone because spills never precede it
 
-	find := func(r Res) Res {
-		for {
-			p, ok := e.ufParent[r]
-			if !ok || p == r {
-				if !ok {
-					e.ufParent[r] = r
-				}
-				return r
-			}
-			e.ufParent[r] = e.ufParent[p]
-			r = p
-		}
-	}
+	// Union the resources of every event, in (t, seq) order: footprint
+	// callbacks run here, once per proc per epoch, in that order.
 	for i := range evs {
-		res := evs[i].res
-		root := find(res[0])
+		res := e.eventRes(&evs[i], ep.id)
+		root := ep.find(res[0])
 		for _, r := range res[1:] {
-			r2 := find(r)
-			if r2 != root {
-				e.ufParent[r2] = root
+			if r2 := ep.find(r); r2 != root {
+				ep.parent[r2] = root
 			}
 		}
 	}
 
-	// Build groups in first-event order: deterministic indices.
-	rootGroup := make(map[Res]*execGroup)
-	baseSeq := e.seq
+	// Build groups in first-event order: deterministic indices. Each group's
+	// events arrive in (t, seq) order, and a sorted slice is a valid heap.
+	ep.groups = ep.groups[:0]
 	for i := range evs {
-		root := find(evs[i].res[0])
-		g, ok := rootGroup[root]
-		if !ok {
-			g = &execGroup{eng: e, idx: len(ep.groups), seq: baseSeq, quota: epochQuota}
-			g.now = e.now
-			rootGroup[root] = g
-			ep.groups = append(ep.groups, g)
+		ev := &evs[i]
+		root := ep.find(e.eventRes(ev, ep.id)[0])
+		g := ep.owner[root]
+		if g == nil {
+			g = e.nextGroup(ep)
+			ep.owner[root] = g
 		}
-		g.pq.push(evs[i].ev)
-		for _, r := range evs[i].res {
-			ep.resOwner[r] = g
-		}
-	}
-	// Resources that merged transitively (union-find) must also resolve to
-	// the owning group for routing during execution.
-	for r := range e.ufParent {
-		if g, ok := rootGroup[find(r)]; ok {
-			ep.resOwner[r] = g
+		g.pq.ev = append(g.pq.ev, *ev)
+		if ev.background {
+			g.pq.bg++
 		}
 	}
-	// Reset union-find for the next epoch.
-	for r := range e.ufParent {
-		delete(e.ufParent, r)
+	for _, g := range ep.groups {
+		g.pq.maxDepth = len(g.pq.ev)
 	}
+	// Resources that merged transitively must also resolve to the owning
+	// group for routing during execution.
+	for _, r := range ep.touched {
+		ep.owner[r] = ep.owner[ep.find(r)]
+	}
+	clear(evs)
+	e.pq.ev = evs[:0]
 	// The phase-shift flag is good for exactly one formation: every footprint
 	// consulted above saw it and had its chance to retire stale claims.
 	e.phaseShift = false
 	return ep
 }
 
-// eventRes resolves the resources one formation event touches.
-func (e *Engine) eventRes(ev event, epochID uint64) []Res {
+// takePending empties the global heap in one step and returns its events
+// sorted by (t, seq). After a commit the heap array is already sorted, so
+// the common case is one linear check; otherwise compact keys are sorted and
+// the events gathered once into the spare buffer.
+func (e *Engine) takePending() []event {
+	evs := e.pq.ev
+	e.pq.ev = nil
+	e.pq.bg = 0
+	sorted := true
+	for i := 1; i < len(evs); i++ {
+		if a, b := &evs[i-1], &evs[i]; a.t > b.t || (a.t == b.t && a.seq > b.seq) {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return evs
+	}
+	ep := &e.ep
+	keys := ep.keys[:0]
+	for i := range evs {
+		keys = append(keys, evKey{t: evs[i].t, seq: evs[i].seq, idx: int32(i)})
+	}
+	slices.SortFunc(keys, cmpKey)
+	out := ep.spare[:0]
+	for _, k := range keys {
+		out = append(out, evs[k.idx])
+	}
+	clear(evs)
+	ep.spare = evs[:0]
+	ep.keys = keys
+	return out
+}
+
+// nextGroup appends the epoch's next group, reusing the group (and its heap,
+// spill and emit buffers) that held the same index in an earlier epoch. Past
+// groups stay reachable beyond len(ep.groups) in the slice's backing array.
+func (e *Engine) nextGroup(ep *epochState) *execGroup {
+	idx := len(ep.groups)
+	var g *execGroup
+	if idx < cap(ep.groups) {
+		g = ep.groups[:idx+1][idx]
+	}
+	if g == nil {
+		g = &execGroup{}
+	}
+	*g = execGroup{
+		eng:   e,
+		idx:   idx,
+		pq:    eventHeap{ev: g.pq.ev[:0]},
+		now:   e.now,
+		seq:   e.seq,
+		quota: epochQuota,
+		spill: g.spill[:0],
+		emits: g.emits[:0],
+	}
+	ep.groups = append(ep.groups, g)
+	return g
+}
+
+// find returns r's union-find root (with path halving), entering r as a
+// singleton the first time this epoch touches it.
+func (ep *epochState) find(r Res) Res {
+	if int(r) >= len(ep.parent) {
+		ep.grow(r)
+	}
+	par := ep.parent
+	if par[r] < 0 {
+		par[r] = r
+		ep.touched = append(ep.touched, r)
+		return r
+	}
+	for par[r] != r {
+		par[r] = par[par[r]]
+		r = par[r]
+	}
+	return r
+}
+
+// grow extends the dense resource tables to cover r.
+func (ep *epochState) grow(r Res) {
+	n := 2 * len(ep.parent)
+	if n <= int(r) {
+		n = int(r) + 1
+	}
+	for i := len(ep.parent); i < n; i++ {
+		ep.parent = append(ep.parent, -1)
+	}
+	ep.owner = append(ep.owner, make([]*execGroup, n-len(ep.owner))...)
+}
+
+// eventRes resolves the resources one formation event touches. A callback's
+// tags are read in place, so ev must stay put while the result is in use.
+func (e *Engine) eventRes(ev *event, epochID uint64) []Res {
 	if ev.isCallback() {
 		if ev.nres == 0 {
 			return globalResList
 		}
-		// Copy out of the event: the backing array moves between heaps.
-		res := make([]Res, ev.nres)
-		copy(res, ev.res[:ev.nres])
-		return res
+		return ev.res[:ev.nres]
 	}
 	p := ev.proc
 	if p == nil || p.footprint == nil {
@@ -270,37 +381,47 @@ var globalResList = []Res{Global}
 // callback exists; otherwise Run uses the legacy sequential loop).
 func (e *Engine) runEpochs() {
 	defer e.stopPool()
-	for !e.stopped.Load() {
-		if e.pq.len() == e.pq.bg && e.popQuiesce() {
-			continue // quiescent: only background alarms (if any) remain
-		}
-		if e.pq.len() == 0 {
-			return
-		}
-		ep := e.formEpoch()
-		e.epoch = ep
-		width := len(ep.groups)
-		e.stats.ParallelBatches++
-		if width > e.stats.MaxBatchWidth {
-			e.stats.MaxBatchWidth = width
-		}
-		workers := e.workers
-		if workers > width {
-			workers = width
-		}
-		if width > workers {
-			e.stats.BarrierStalls += uint64(width - workers)
-		}
-		if workers <= 1 {
-			for _, g := range ep.groups {
-				g.run()
-			}
-		} else {
-			e.dispatchPool(ep.groups, workers)
-		}
-		e.epoch = nil
-		e.commitEpoch(ep)
+	for e.stepEpoch() {
 	}
+}
+
+// stepEpoch runs one turn of the epoch loop — a quiesce callback, or one
+// epoch's formation, execution and commit — and reports whether the run
+// goes on.
+func (e *Engine) stepEpoch() bool {
+	if e.stopped.Load() {
+		return false
+	}
+	if e.pq.len() == e.pq.bg && e.popQuiesce() {
+		return true // quiescent: only background alarms (if any) remain
+	}
+	if e.pq.len() == 0 {
+		return false
+	}
+	ep := e.formEpoch()
+	e.epoch = ep
+	width := len(ep.groups)
+	e.stats.ParallelBatches++
+	if width > e.stats.MaxBatchWidth {
+		e.stats.MaxBatchWidth = width
+	}
+	workers := e.workers
+	if workers > width {
+		workers = width
+	}
+	if width > workers {
+		e.stats.BarrierStalls += uint64(width - workers)
+	}
+	if workers <= 1 {
+		for _, g := range ep.groups {
+			g.run()
+		}
+	} else {
+		e.dispatchPool(ep.groups, workers)
+	}
+	e.epoch = nil
+	e.commitEpoch(ep)
+	return true
 }
 
 // epochWork is one epoch's job for the persistent worker pool: the group
@@ -423,37 +544,43 @@ func (e *Engine) commitEpoch(ep *epochState) {
 	// Re-commit leftovers and spills: (t, group index, local seq) order, with
 	// fresh global sequence numbers. Group-local order is causal order; the
 	// cross-group tie-break at equal times is by deterministic group index.
-	var all []event
-	byGroup := make([]int, 0, len(ep.groups))
+	// The global heap is empty here (formation took it whole), so the sorted
+	// run goes straight in.
+	keys := ep.keys[:0]
 	for gi, g := range ep.groups {
-		for _, ev := range g.spill {
-			all = append(all, ev)
-			byGroup = append(byGroup, gi)
+		for i := range g.spill {
+			ev := &g.spill[i]
+			keys = append(keys, evKey{t: ev.t, seq: ev.seq, grp: int32(gi), idx: int32(i)})
+		}
+		n := len(g.spill)
+		for i := range g.pq.ev {
+			ev := &g.pq.ev[i]
+			keys = append(keys, evKey{t: ev.t, seq: ev.seq, grp: int32(gi), idx: int32(n + i)})
 		}
 	}
-	order := make([]int, len(all))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ea, eb := &all[order[a]], &all[order[b]]
-		if ea.t != eb.t {
-			return ea.t < eb.t
+	slices.SortFunc(keys, cmpKey)
+	for _, k := range keys {
+		g := ep.groups[k.grp]
+		var ev *event
+		if i := int(k.idx); i < len(g.spill) {
+			ev = &g.spill[i]
+		} else {
+			ev = &g.pq.ev[i-len(g.spill)]
 		}
-		if byGroup[order[a]] != byGroup[order[b]] {
-			return byGroup[order[a]] < byGroup[order[b]]
-		}
-		return ea.seq < eb.seq
-	})
-	for _, i := range order {
-		ev := all[i]
 		e.seq++
 		ev.seq = e.seq
 		if ev.proc != nil && ev.timer {
 			// The proc is parked on this timer; re-key it to the new seq.
 			ev.proc.timerSeq = e.seq
 		}
-		e.pq.push(ev)
+		e.pq.push(*ev)
+	}
+	ep.keys = keys
+	for _, g := range ep.groups {
+		clear(g.spill)
+		g.spill = g.spill[:0]
+		clear(g.pq.ev)
+		g.pq.ev = g.pq.ev[:0]
 	}
 }
 
@@ -476,35 +603,21 @@ func (e *Engine) phaseStormThreshold() uint64 {
 // merged stream is sorted, not concatenated. The (group, seq) pair is
 // unique, making the sort a total order.
 func (e *Engine) flushEmits(ep *epochState) {
-	total := 0
-	for _, g := range ep.groups {
-		total += len(g.emits)
-	}
-	if total == 0 {
-		return
-	}
-	type tagged struct {
-		gi int
-		er emitRec
-	}
-	flush := make([]tagged, 0, total)
+	keys := ep.keys[:0]
 	for gi, g := range ep.groups {
-		for _, er := range g.emits {
-			flush = append(flush, tagged{gi: gi, er: er})
+		for i := range g.emits {
+			er := &g.emits[i]
+			keys = append(keys, evKey{t: er.t, seq: er.seq, grp: int32(gi), idx: int32(i)})
 		}
 	}
-	sort.Slice(flush, func(a, b int) bool {
-		ta, tb := &flush[a], &flush[b]
-		if ta.er.t != tb.er.t {
-			return ta.er.t < tb.er.t
-		}
-		if ta.gi != tb.gi {
-			return ta.gi < tb.gi
-		}
-		return ta.er.seq < tb.er.seq
-	})
-	for i := range flush {
-		e.emit(flush[i].er.payload)
+	slices.SortFunc(keys, cmpKey)
+	for _, k := range keys {
+		e.emit(ep.groups[k.grp].emits[k.idx].payload)
+	}
+	ep.keys = keys
+	for _, g := range ep.groups {
+		clear(g.emits)
+		g.emits = g.emits[:0]
 	}
 }
 
@@ -512,12 +625,12 @@ func (e *Engine) flushEmits(ep *epochState) {
 // owning res. It panics when res is unowned and no global group exists —
 // that means an event touched a resource outside its declared footprint.
 func (e *Engine) groupFor(res Res) *execGroup {
-	ep := e.epoch
-	if g, ok := ep.resOwner[res]; ok {
-		return g
+	owner := e.epoch.owner
+	if int(res) < len(owner) && owner[res] != nil {
+		return owner[res]
 	}
-	if g, ok := ep.resOwner[Global]; ok {
-		return g
+	if len(owner) > 0 && owner[Global] != nil {
+		return owner[Global]
 	}
 	panic(fmt.Sprintf("sim: resource %d touched during an epoch that owns neither it nor Global (undeclared footprint)", res))
 }

@@ -116,7 +116,8 @@ func (p *Proc) CanTouch(r Res) bool {
 	if g == nil {
 		return true
 	}
-	return p.eng.epoch.resOwner[r] == g
+	owner := p.eng.epoch.owner
+	return int(r) < len(owner) && owner[r] == g
 }
 
 // YieldRegroup reschedules the process into the next epoch at its current
