@@ -8,9 +8,7 @@
 //	repro -full         # the paper's 16-host/256-rank geometry
 //	repro -list         # list experiment ids
 //	repro -j 4          # pin the sweep worker pool (default: GOMAXPROCS)
-//	repro -sim-j 4      # pin the in-world epoch dispatch width (default: 1)
 //	repro -bench-out BENCH_repro.json  # host-time benchmark snapshot
-//	repro -bench-smoke                 # dispatch-width regression gate
 //	repro -ranks 4096                  # scale-proxy allreduce on both engines
 //	repro -scale-smoke                 # flat-engine scale gate (4096 ranks)
 //	repro -fidelity-smoke              # full-fidelity 1024-rank machine-body gate
@@ -28,7 +26,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"cmpi/internal/cluster"
@@ -46,9 +43,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text (for plotting)")
 	workers := flag.Int("j", 0, "experiment sweep workers; 0 = CMPI_SWEEP_WORKERS env or GOMAXPROCS (tables are byte-identical for any value)")
-	simWorkers := flag.Int("sim-j", 0, "epoch dispatch width inside each simulated world; 0 = CMPI_SIM_WORKERS env or 1 (results are byte-identical for any value)")
 	benchOut := flag.String("bench-out", "", "write a host-time benchmark snapshot (JSON) to this file and exit")
-	benchSmoke := flag.Bool("bench-smoke", false, "quick dispatch-width regression gate: fail unless the 64-rank allreduce (1 KiB at widths 2/4/8/N, 1 MiB at width N) keeps up with width 1 (10% tolerance)")
 	traceOut := flag.String("trace-out", "", "record the canonical trace job to this file and exit")
 	traceJob := flag.String("trace-job", "golden", "trace job for -trace-out: golden (16 ranks, trivial topology) or fattree (32 ranks on a 2-rack fat tree)")
 	replay := flag.String("replay", "", "replay a recorded trace: reconstruct and print its counters, then exit")
@@ -66,22 +61,10 @@ func main() {
 		return
 	}
 	experiments.SetWorkers(*workers)
-	if *simWorkers > 0 {
-		// Engines read the width from the environment at construction, so
-		// setting it here covers every world the experiments build.
-		os.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(*simWorkers))
-	}
 
 	if *benchOut != "" {
 		if err := writeBenchSnapshot(*benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "bench-out: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchSmoke {
-		if err := benchSmokeCheck(); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-smoke: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -246,43 +229,19 @@ func diffTraces(paths []string) int {
 
 // benchSnapshot is the committed BENCH_repro.json format: host-time numbers
 // for the full Quick-scale table regeneration (sequential vs parallel sweep)
-// and the steady-state pt2pt hot path.
+// and the steady-state pt2pt hot path, stamped with the host shape
+// (GOMAXPROCS and logical CPU count) they were taken on.
 type benchSnapshot struct {
 	GOOS           string  `json:"goos"`
 	GOARCH         string  `json:"goarch"`
 	GOMAXPROCS     int     `json:"gomaxprocs"`
+	NumCPU         int     `json:"num_cpu"`
 	SweepWorkers   int     `json:"sweep_workers"`
 	SequentialSec  float64 `json:"full_table_sequential_sec"`
 	ParallelSec    float64 `json:"full_table_parallel_sec"`
 	Speedup        float64 `json:"full_table_speedup"`
 	PingPongNsMsg  float64 `json:"shm_pingpong_ns_per_msg"`
 	PingPongAllocs float64 `json:"shm_pingpong_allocs_per_msg"`
-
-	// 64-rank allreduce job at epoch dispatch widths 1/2/4/8/N: the in-world
-	// parallel dispatch datapoints. A world collective couples every rank, so
-	// epochs converge toward few groups and each width must at least keep up
-	// with width 1 — these rows are the dispatch-overhead guard (the bench
-	// smoke gate asserts every speedup ≥ 1 within tolerance). Real width
-	// comes from the pairwise row below, where independence actually exists.
-	SimWorkers         int     `json:"sim_workers"`
-	Allreduce64Width1  float64 `json:"allreduce64_width1_sec"`
-	Allreduce64Width2  float64 `json:"allreduce64_width2_sec"`
-	Allreduce64Width4  float64 `json:"allreduce64_width4_sec"`
-	Allreduce64Width8  float64 `json:"allreduce64_width8_sec"`
-	Allreduce64WidthN  float64 `json:"allreduce64_widthN_sec"`
-	Allreduce64Speedup float64 `json:"allreduce64_widthN_speedup"`
-	// Scheduler health counters from the width-N allreduce run: pairs shed
-	// by adaptive footprint decay, phase-change re-widens, and groups that
-	// queued behind the worker pool (see profile.SimStats).
-	Allreduce64Narrowed uint64 `json:"allreduce64_narrowed_pairs"`
-	Allreduce64Rewidens uint64 `json:"allreduce64_phase_rewidens"`
-	Allreduce64Stalls   uint64 `json:"allreduce64_barrier_stalls"`
-
-	PairwiseWidth1        float64 `json:"pairwise64_width1_sec"`
-	PairwiseWidthN        float64 `json:"pairwise64_widthN_sec"`
-	PairwiseSpeedup       float64 `json:"pairwise64_speedup"`
-	PairwiseMaxBatchWidth int     `json:"pairwise64_max_batch_width"`
-	PairwiseNarrowed      uint64  `json:"pairwise64_narrowed_pairs"`
 
 	// Scale-proxy points (mpi.RunScale, 1 MiB allreduce, 32 ranks/host on the
 	// 8-host-rack fat tree): min-of-3 host seconds on the flat engine, plus
@@ -384,7 +343,7 @@ func scaleSmokeCheck() error {
 // Full-fidelity scale point: unlike the RunScale proxy above, this builds a
 // real 1024-rank containerized world on the scale fat tree and runs the
 // actual allreduce — eager/rendezvous pt2pt, the collective selector, spine
-// footprints — with machine-native rank bodies (World.RunMachine) or the
+// contention — with machine-native rank bodies (World.RunMachine) or the
 // classic blocking goroutine bodies running the identical workload.
 const (
 	fidelityRanks = 1024
@@ -501,113 +460,12 @@ func measurePingPong(rounds int) (nsPerMsg, allocsPerMsg float64, err error) {
 	return float64(elapsed.Nanoseconds()) / msgs, float64(after.Mallocs-before.Mallocs) / msgs, nil
 }
 
-// world64 builds a 64-rank, 4-host containerized world with the epoch
-// dispatch width pinned.
-func world64(simWorkers int) (*mpi.World, error) {
-	spec := cluster.Spec{Hosts: 4, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 2, 64, cluster.PaperScenarioOpts())
-	if err != nil {
-		return nil, err
-	}
-	w, err := mpi.NewWorld(d, mpi.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	w.Eng.SetWorkers(simWorkers)
-	return w, nil
-}
-
-// measureAllreduce64 times iters 64-rank allreduces of bytes each at the
-// given dispatch width and returns host seconds plus the run's scheduler
-// stats. 1 KiB exercises the recursive-doubling latency regime; 1 MiB the
-// ring/Rabenseifner bandwidth regime the collective selector routes large
-// messages onto.
-func measureAllreduce64(simWorkers, iters, bytes int) (float64, profile.SimStats, error) {
-	w, err := world64(simWorkers)
-	if err != nil {
-		return 0, profile.SimStats{}, err
-	}
-	start := time.Now()
-	err = w.Run(func(r *mpi.Rank) error {
-		buf := make([]byte, bytes)
-		for i := 0; i < iters; i++ {
-			r.Allreduce(buf, mpi.SumInt64)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, profile.SimStats{}, err
-	}
-	return time.Since(start).Seconds(), w.SimStats(), nil
-}
-
-// measureAllreduceWidths times the 64-rank allreduce at each width and
-// returns min-of-rounds host seconds per width plus each width's scheduler
-// stats. Two defenses against host noise, because the snapshot gates
-// width-vs-width ratios: the minimum over rounds measures the code rather
-// than background load, and rounds are interleaved across widths (1, 2, ...,
-// N, then again) so a slow host phase degrades every width equally instead
-// of whichever width it happened to land on. Simulated results and stats
-// are identical across rounds (determinism), so any round's stats are the
-// run's stats.
-func measureAllreduceWidths(widths []int, iters, rounds, bytes int) ([]float64, []profile.SimStats, error) {
-	best := make([]float64, len(widths))
-	stats := make([]profile.SimStats, len(widths))
-	for i := range best {
-		best[i] = math.MaxFloat64
-	}
-	for rep := 0; rep < rounds; rep++ {
-		for i, wk := range widths {
-			sec, st, err := measureAllreduce64(wk, iters, bytes)
-			if err != nil {
-				return nil, nil, err
-			}
-			if sec < best[i] {
-				best[i] = sec
-			}
-			stats[i] = st
-		}
-	}
-	return best, stats, nil
-}
-
-// measurePairwise64 times iters pairwise exchange rounds (rank <-> rank^1,
-// same container: 32 causally independent pairs) at the given dispatch width.
-// Returns host seconds and the run's scheduler stats (min-of-3; see
-// bestAllreduce64 for why).
-func measurePairwise64(simWorkers, iters int) (float64, profile.SimStats, error) {
-	best := math.MaxFloat64
-	var stats profile.SimStats
-	for rep := 0; rep < 3; rep++ {
-		w, err := world64(simWorkers)
-		if err != nil {
-			return 0, profile.SimStats{}, err
-		}
-		start := time.Now()
-		err = w.Run(func(r *mpi.Rank) error {
-			partner := r.Rank() ^ 1
-			out := make([]byte, 4<<10)
-			in := make([]byte, 4<<10)
-			for i := 0; i < iters; i++ {
-				r.Sendrecv(partner, 0, out, partner, 0, in)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, profile.SimStats{}, err
-		}
-		if sec := time.Since(start).Seconds(); sec < best {
-			best, stats = sec, w.SimStats()
-		}
-	}
-	return best, stats, nil
-}
-
 func writeBenchSnapshot(path string) error {
 	snap := benchSnapshot{
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	// Exercise at least 4 workers even on small hosts so the snapshot always
 	// measures the parallel path; wall-clock gain tracks real core count.
@@ -634,38 +492,6 @@ func writeBenchSnapshot(path string) error {
 	}
 	if snap.PingPongNsMsg, snap.PingPongAllocs, err = measurePingPong(100000); err != nil {
 		return err
-	}
-	snap.SimWorkers = runtime.GOMAXPROCS(0)
-	if snap.SimWorkers < 4 {
-		snap.SimWorkers = 4
-	}
-	fmt.Fprintf(os.Stderr, "64-rank dispatch-width points (widths 1/2/4/8/%d)...\n", snap.SimWorkers)
-	arTimes, arStats, err := measureAllreduceWidths([]int{1, 2, 4, 8, snap.SimWorkers}, 200, 3, 1<<10)
-	if err != nil {
-		return err
-	}
-	snap.Allreduce64Width1 = arTimes[0]
-	snap.Allreduce64Width2 = arTimes[1]
-	snap.Allreduce64Width4 = arTimes[2]
-	snap.Allreduce64Width8 = arTimes[3]
-	snap.Allreduce64WidthN = arTimes[4]
-	if snap.Allreduce64WidthN > 0 {
-		snap.Allreduce64Speedup = snap.Allreduce64Width1 / snap.Allreduce64WidthN
-	}
-	snap.Allreduce64Narrowed = arStats[4].NarrowedPairs
-	snap.Allreduce64Rewidens = arStats[4].PhaseRewidens
-	snap.Allreduce64Stalls = arStats[4].BarrierStalls
-	var pwStats profile.SimStats
-	if snap.PairwiseWidth1, _, err = measurePairwise64(1, 2000); err != nil {
-		return err
-	}
-	if snap.PairwiseWidthN, pwStats, err = measurePairwise64(snap.SimWorkers, 2000); err != nil {
-		return err
-	}
-	snap.PairwiseMaxBatchWidth = pwStats.MaxBatchWidth
-	snap.PairwiseNarrowed = pwStats.NarrowedPairs
-	if snap.PairwiseWidthN > 0 {
-		snap.PairwiseSpeedup = snap.PairwiseWidth1 / snap.PairwiseWidthN
 	}
 	fmt.Fprintln(os.Stderr, "scale-proxy points (256/1024/4096 ranks, min-of-3)...")
 	if snap.Scale256Sec, _, err = measureScale(256, true, 3); err != nil {
@@ -704,53 +530,7 @@ func writeBenchSnapshot(path string) error {
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %.1fs -> %.1fs (%.2fx), pt2pt %.0f ns/msg, %.3f allocs/msg, allreduce64 %.2fx, pairwise64 %.2fx at width %d\n",
-		path, snap.SequentialSec, snap.ParallelSec, snap.Speedup, snap.PingPongNsMsg, snap.PingPongAllocs,
-		snap.Allreduce64Speedup, snap.PairwiseSpeedup, snap.PairwiseMaxBatchWidth)
-	return nil
-}
-
-// benchSmokeCheck is the CI dispatch-width regression gate: a 64-rank
-// allreduce must not run slower at any epoch dispatch width than at width 1.
-// Before adaptive footprint decay the coupled collective collapsed into one
-// group and paid pure coordination overhead at width N; the gate keeps that
-// regression from coming back. Tolerance is 10% — host timing, even
-// min-of-3, jitters on shared CI runners.
-func benchSmokeCheck() error {
-	widthN := runtime.GOMAXPROCS(0)
-	if widthN < 4 {
-		widthN = 4
-	}
-	widths := []int{1, 2, 4, 8}
-	if widthN != 2 && widthN != 4 && widthN != 8 {
-		widths = append(widths, widthN)
-	}
-	times, _, err := measureAllreduceWidths(widths, 100, 3, 1<<10)
-	if err != nil {
-		return err
-	}
-	base := times[0]
-	fmt.Printf("allreduce64 width 1: %.3fs\n", base)
-	for i, wk := range widths[1:] {
-		sec := times[i+1]
-		fmt.Printf("allreduce64 width %d: %.3fs (%.2fx)\n", wk, sec, base/sec)
-		if sec > base*1.10 {
-			return fmt.Errorf("allreduce64 at width %d took %.3fs, >10%% slower than width 1 (%.3fs)", wk, sec, base)
-		}
-	}
-	// Large-message point: a 1 MiB allreduce rides the selector's bandwidth
-	// regime (the ring on this spread 64-rank world) whose 2(P-1) chained
-	// sendrecv steps stress the dispatcher very differently from the
-	// log2(P)-round latency job above.
-	largeWidths := []int{1, widthN}
-	largeTimes, _, err := measureAllreduceWidths(largeWidths, 5, 3, 1<<20)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("allreduce64-1MiB width 1: %.3fs\n", largeTimes[0])
-	fmt.Printf("allreduce64-1MiB width %d: %.3fs (%.2fx)\n", widthN, largeTimes[1], largeTimes[0]/largeTimes[1])
-	if largeTimes[1] > largeTimes[0]*1.10 {
-		return fmt.Errorf("allreduce64-1MiB at width %d took %.3fs, >10%% slower than width 1 (%.3fs)", widthN, largeTimes[1], largeTimes[0])
-	}
+	fmt.Printf("wrote %s: %.1fs -> %.1fs (%.2fx), pt2pt %.0f ns/msg, %.3f allocs/msg\n",
+		path, snap.SequentialSec, snap.ParallelSec, snap.Speedup, snap.PingPongNsMsg, snap.PingPongAllocs)
 	return nil
 }

@@ -235,7 +235,7 @@ type (
 	// TraceRecorder streams a world's structured trace; set Options.Record.
 	// A recorder is single-shot: build a fresh one per world.
 	TraceRecorder = trace.Recorder
-	// Trace is a decoded trace: header plus records in commit order.
+	// Trace is a decoded trace: header plus records in dispatch order.
 	Trace = trace.Trace
 	// TraceRecord is one traced event (message, protocol transition, fault).
 	TraceRecord = trace.Record
@@ -245,8 +245,8 @@ type (
 )
 
 // NewTraceRecorder returns a recorder that streams the versioned trace to w
-// as records commit; hand it to Options.Record. Recording keeps full
-// epoch-parallel dispatch and writes byte-identical traces at every width.
+// as records are emitted; hand it to Options.Record. Identical runs write
+// byte-identical traces.
 func NewTraceRecorder(w io.Writer) *TraceRecorder { return trace.NewRecorder(w) }
 
 // ReadTrace decodes a recorded trace.

@@ -44,31 +44,6 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestDispatchWidthIsDeterministic locks in the epoch dispatch invariant at
-// the table level: whole experiment tables render byte-identically at every
-// in-world dispatch width (CMPI_SIM_WORKERS, read at engine construction).
-// Two tables with different channel mixes; pt2pt latency (fig3bc) covers
-// SHM/CMA/HCA, fig8 covers collectives across hosts.
-func TestDispatchWidthIsDeterministic(t *testing.T) {
-	for _, id := range []string{"fig3bc", "fig8"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Setenv("CMPI_SIM_WORKERS", "1")
-			baseTxt, baseCSV := renderBoth(t, id)
-			for _, width := range []string{"2", "8"} {
-				t.Setenv("CMPI_SIM_WORKERS", width)
-				txt, csv := renderBoth(t, id)
-				if txt != baseTxt {
-					t.Errorf("width %s: text rendering differs from width 1:\n--- w1 ---\n%s\n--- w%s ---\n%s", width, baseTxt, width, txt)
-				}
-				if csv != baseCSV {
-					t.Errorf("width %s: CSV rendering differs from width 1", width)
-				}
-			}
-		})
-	}
-}
-
 // TestWorkersOverride checks the explicit override wins and resets cleanly.
 func TestWorkersOverride(t *testing.T) {
 	SetWorkers(3)

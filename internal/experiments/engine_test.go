@@ -7,45 +7,41 @@ import (
 )
 
 // TestGoldenTraceFlatEngineAcrossWidths re-records the canonical trace job
-// with CMPI_SIM_ENGINE=flat at dispatch widths 1/2/4/8 and requires
-// byte-identity with the committed fixture. Rank bodies are blocking Go
-// functions, so the facade guarantee applies: the engine-mode switch may not
-// perturb a single byte of the message schedule at any width.
+// with CMPI_SIM_ENGINE=flat and requires byte-identity with the committed
+// fixture. Rank bodies are blocking Go functions, so the facade guarantee
+// applies: the engine-mode switch may not perturb a single byte of the
+// message schedule. (The dispatch widths of the name are gone: every world
+// runs one sequential loop.)
 func TestGoldenTraceFlatEngineAcrossWidths(t *testing.T) {
 	fixture, err := os.ReadFile("testdata/golden.trace")
 	if err != nil {
 		t.Fatalf("fixture missing: %v", err)
 	}
 	t.Setenv("CMPI_SIM_ENGINE", "flat")
-	for _, width := range []string{"1", "2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		var buf bytes.Buffer
-		if err := GoldenTrace(&buf); err != nil {
-			t.Fatalf("flat engine, width %s: GoldenTrace: %v", width, err)
-		}
-		if !bytes.Equal(buf.Bytes(), fixture) {
-			t.Errorf("flat engine, width %s: trace bytes diverge from the committed fixture", width)
-		}
+	var buf bytes.Buffer
+	if err := GoldenTrace(&buf); err != nil {
+		t.Fatalf("flat engine: GoldenTrace: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), fixture) {
+		t.Error("flat engine: trace bytes diverge from the committed fixture")
 	}
 }
 
 // TestRecoveryFlatEngineAcrossWidths renders ext-recovery — the experiment
 // with the most engine-state churn (crash, checkpoint restore, respawn) —
-// under CMPI_SIM_ENGINE=flat at widths 1/2/4/8 and diffs against the
-// goroutine-engine rendering.
+// under CMPI_SIM_ENGINE=flat and diffs against the goroutine-engine
+// rendering. (The dispatch widths of the name are gone: every world runs one
+// sequential loop.)
 func TestRecoveryFlatEngineAcrossWidths(t *testing.T) {
 	t.Setenv("CMPI_SIM_ENGINE", "goroutine")
 	baseTxt, baseCSV := renderBoth(t, "ext-recovery")
 	t.Setenv("CMPI_SIM_ENGINE", "flat")
-	for _, width := range []string{"1", "2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		txt, csv := renderBoth(t, "ext-recovery")
-		if txt != baseTxt {
-			t.Errorf("flat engine, width %s: text rendering diverged:\n--- goroutine ---\n%s\n--- flat ---\n%s", width, baseTxt, txt)
-		}
-		if csv != baseCSV {
-			t.Errorf("flat engine, width %s: CSV rendering diverged", width)
-		}
+	txt, csv := renderBoth(t, "ext-recovery")
+	if txt != baseTxt {
+		t.Errorf("flat engine: text rendering diverged:\n--- goroutine ---\n%s\n--- flat ---\n%s", baseTxt, txt)
+	}
+	if csv != baseCSV {
+		t.Error("flat engine: CSV rendering diverged")
 	}
 }
 

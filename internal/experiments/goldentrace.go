@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"cmpi/internal/cluster"
+	"cmpi/internal/fault"
 	"cmpi/internal/ib"
 	"cmpi/internal/mpi"
 	"cmpi/internal/sim"
@@ -17,51 +18,47 @@ import (
 // a self-delivery, collectives, and one-sided accesses.
 //
 // The trace is deterministic: the same library version writes byte-identical
-// output at every sweep width and epoch dispatch width, which is what makes
-// it usable as a committed fixture (testdata/golden.trace) and as a CI
-// regression gate. A diff against the fixture therefore means the message
+// output at every sweep width and whether or not a fault plan is attached,
+// which is what makes it usable as a committed fixture
+// (testdata/golden.trace) and as a CI regression gate. A diff against the fixture therefore means the message
 // schedule itself changed — a behavior change to document (and a refreshed
 // fixture), not noise.
-func GoldenTrace(out io.Writer) error {
-	c := cluster.MustNew(testbedSpec(2))
-	d, err := cluster.Containers(c, 2, 16, cluster.PaperScenarioOpts())
-	if err != nil {
-		return err
-	}
-	opts := mpi.DefaultOptions()
-	// Pin the footprint decay window: decay changes the message schedule (a
-	// re-claimed pair can see delayed deliveries at the re-merge boundary),
-	// so the fixture is canonical for exactly one setting. Pinning keeps the
-	// fixture valid when CI sweeps CMPI_FOOTPRINT_DECAY across the matrix.
-	opts.FootprintDecay = mpi.DefaultFootprintDecay
-	opts.Record = trace.NewRecorder(out)
-	w, err := mpi.NewWorld(d, opts)
-	if err != nil {
-		return err
-	}
-	if err := w.Run(goldenWorkload); err != nil {
-		return err
-	}
-	return opts.Record.Err()
-}
+func GoldenTrace(out io.Writer) error { return recordGoldenJob(out, goldenJobs[0], nil) }
 
 // GoldenTraceFatTree runs the frozen golden workload on a 4-host, 2-rack
 // fat-tree deployment (32 ranks, two containers per host) and streams its v1
 // trace to out. It is the non-trivial-topology companion fixture
-// (testdata/golden-fattree.trace): spine hop latency shifts every cross-rack
-// HCA record, and the spine resource footprints now let such a world dispatch
-// in parallel epochs, so this fixture guards both the topology cost model and
-// the spine-footprint dispatch path. Deterministic like GoldenTrace:
-// byte-identical at every dispatch width and under both engine settings.
-func GoldenTraceFatTree(out io.Writer) error {
-	c := cluster.MustNew(testbedSpec(4))
-	d, err := cluster.Containers(c, 2, 32, cluster.PaperScenarioOpts())
+// (testdata/golden-fattree.trace): spine hop latency and spine contention
+// shift every cross-rack HCA record, so this fixture guards the topology cost
+// model. Deterministic like GoldenTrace, and byte-identical under both engine
+// settings.
+func GoldenTraceFatTree(out io.Writer) error { return recordGoldenJob(out, goldenJobs[1], nil) }
+
+// goldenJob is the deployment geometry of one golden trace job.
+type goldenJob struct {
+	name         string
+	hosts, ranks int
+	topo         ib.Topology
+}
+
+// goldenJobs are the two fixture jobs: GoldenTrace and GoldenTraceFatTree.
+var goldenJobs = [2]goldenJob{
+	{name: "golden", hosts: 2, ranks: 16},
+	{name: "fattree", hosts: 4, ranks: 32,
+		topo: ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}},
+}
+
+// recordGoldenJob runs goldenWorkload on job's deployment, two containers a
+// host, with plan attached (nil for none), and streams the v1 trace to out.
+func recordGoldenJob(out io.Writer, job goldenJob, plan *fault.Plan) error {
+	c := cluster.MustNew(testbedSpec(job.hosts))
+	d, err := cluster.Containers(c, 2, job.ranks, cluster.PaperScenarioOpts())
 	if err != nil {
 		return err
 	}
 	opts := mpi.DefaultOptions()
-	opts.Topology = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
-	opts.FootprintDecay = mpi.DefaultFootprintDecay
+	opts.Topology = job.topo
+	opts.FaultPlan = plan
 	opts.Record = trace.NewRecorder(out)
 	w, err := mpi.NewWorld(d, opts)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cmpi/internal/core"
+	"cmpi/internal/fault"
 	"cmpi/internal/trace"
 )
 
@@ -42,29 +43,6 @@ func TestGoldenTraceMatchesFixture(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceStableAcrossDispatchWidths re-records the canonical job —
-// which runs with adaptive footprint decay pinned on (see GoldenTrace) — at
-// epoch dispatch widths 2, 4, and 8 and requires byte-identity with the
-// committed fixture. This is the decay determinism gate at the trace level:
-// decayed footprints change which events may dispatch concurrently, and none
-// of it may leak into the message schedule as the width varies.
-func TestGoldenTraceStableAcrossDispatchWidths(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/golden.trace")
-	if err != nil {
-		t.Fatalf("fixture missing: %v", err)
-	}
-	for _, width := range []string{"2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		var buf bytes.Buffer
-		if err := GoldenTrace(&buf); err != nil {
-			t.Fatalf("width %s: GoldenTrace: %v", width, err)
-		}
-		if !bytes.Equal(buf.Bytes(), fixture) {
-			t.Errorf("width %s: trace bytes diverge from the committed fixture", width)
-		}
-	}
-}
-
 // TestGoldenTraceReplays sanity-checks that the fixture replays cleanly:
 // every send matched, no counter anomalies, all three channels exercised.
 func TestGoldenTraceReplays(t *testing.T) {
@@ -93,9 +71,8 @@ func TestGoldenTraceReplays(t *testing.T) {
 
 // TestGoldenTraceFatTreeMatchesFixture regenerates the non-trivial-topology
 // golden job — the 32-rank fat-tree point whose cross-rack records carry
-// spine hop latency and whose world dispatches under spine resource
-// footprints — and requires byte-identity with the committed fixture at
-// dispatch widths 1/2/4/8 under both engine settings. Regenerate with
+// spine hop latency and spine contention — and requires byte-identity with
+// the committed fixture under both engine settings. Regenerate with
 // `go run ./cmd/repro -trace-out internal/experiments/testdata/golden-fattree.trace
 // -trace-job fattree` when the schedule intentionally changes.
 func TestGoldenTraceFatTreeMatchesFixture(t *testing.T) {
@@ -105,15 +82,12 @@ func TestGoldenTraceFatTreeMatchesFixture(t *testing.T) {
 	}
 	for _, engine := range []string{"goroutine", "flat"} {
 		t.Setenv("CMPI_SIM_ENGINE", engine)
-		for _, width := range []string{"1", "2", "4", "8"} {
-			t.Setenv("CMPI_SIM_WORKERS", width)
-			var buf bytes.Buffer
-			if err := GoldenTraceFatTree(&buf); err != nil {
-				t.Fatalf("%s engine, width %s: GoldenTraceFatTree: %v", engine, width, err)
-			}
-			if !bytes.Equal(buf.Bytes(), fixture) {
-				t.Errorf("%s engine, width %s: trace bytes diverge from testdata/golden-fattree.trace", engine, width)
-			}
+		var buf bytes.Buffer
+		if err := GoldenTraceFatTree(&buf); err != nil {
+			t.Fatalf("%s engine: GoldenTraceFatTree: %v", engine, err)
+		}
+		if !bytes.Equal(buf.Bytes(), fixture) {
+			t.Errorf("%s engine: trace bytes diverge from testdata/golden-fattree.trace", engine)
 		}
 	}
 }
@@ -135,5 +109,39 @@ func TestGoldenTraceFatTreeReplays(t *testing.T) {
 	}
 	if total := s.Total(); total.Ops[core.ChannelHCA] == 0 {
 		t.Error("fat-tree golden job carries no HCA traffic")
+	}
+}
+
+// TestGoldenTraceEmptyPlanDifferential records both golden jobs with and
+// without an empty fault plan attached. A simulated result may not depend on
+// whether a plan is attached, so the bytes must match; and since every world
+// runs one sequential (t, seq) loop, record timestamps never decrease.
+func TestGoldenTraceEmptyPlanDifferential(t *testing.T) {
+	for _, job := range goldenJobs {
+		t.Run(job.name, func(t *testing.T) {
+			var plain, planned bytes.Buffer
+			if err := recordGoldenJob(&plain, job, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := recordGoldenJob(&planned, job, &fault.Plan{}); err != nil {
+				t.Fatalf("empty plan: %v", err)
+			}
+			a, err := trace.Read(bytes.NewReader(plain.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := trace.Read(bytes.NewReader(planned.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := trace.Diff(a, b); d != "" {
+				t.Errorf("empty fault plan changed the trace:\n%s", d)
+			}
+			for i := 1; i < len(a.Records); i++ {
+				if prev, cur := a.Records[i-1].T, a.Records[i].T; cur < prev {
+					t.Fatalf("record %d at %v precedes record %d at %v", i, cur, i-1, prev)
+				}
+			}
+		})
 	}
 }

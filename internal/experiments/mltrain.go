@@ -57,7 +57,7 @@ func MLTrainExtension(sc Scale) (*Table, error) {
 		Columns: []string{"placement", "ranks", "bytes", "chosen", "auto (us)", "rd (us)", "rab (us)", "ring (us)", "tree (us)", "ps (us)"},
 		Notes: "Extension beyond the paper: per-call collective algorithm selection. " +
 			"auto tracks the best forced column (equal at most points, within a few " +
-			"percent at the spread mid-size crossover): ring wins large gradients on the " +
+			"percent at 1 KiB): ring wins large gradients on the " +
 			"co-resident 12-rank placement (non-power-of-two world — Rabenseifner " +
 			"pays a whole-buffer fold — and every ring hop stays on single-socket " +
 			"CMA), Rabenseifner wins the co-resident power-of-two 16-rank one, and " +

@@ -37,14 +37,12 @@ type Fabric struct {
 
 	// topo is the switching hierarchy (topology.go); the zero value is the
 	// legacy single crossbar. spines holds next-free times per spine switch,
-	// indexed [stage][switch] — shared across hosts, and declarable as
-	// dispatch resources via SpineHops so epoch-parallel worlds can merge
-	// exactly the groups whose flows can meet at a spine.
+	// indexed [stage][switch], shared across hosts.
 	topo   Topology
 	spines [][]sim.Time
 
 	// devices lists every opened device, for aggregating per-device pools.
-	// Appended only by OpenDevice, which runs during serialized job init.
+	// Appended only by OpenDevice.
 	devices []*Device
 
 	// inj, when non-nil, is the job's fault injector: link flap/degrade and
@@ -167,14 +165,9 @@ type Device struct {
 	// Env is the container (or native env) that opened the device.
 	Env *cluster.Container
 
-	// res holds the identity resources declared by Tag (owning rank, host);
-	// zero — i.e. sim.Global — until tagged.
-	res [2]sim.Res
-
 	// pool recycles wire snapshots and SRQ bounce buffers for traffic this
-	// device originates or absorbs. Per-device rather than per-fabric so that
-	// causally independent epoch groups never share a free list; a buffer may
-	// migrate to the consuming side's pool, which only moves capacity around.
+	// device originates or absorbs; a buffer may migrate to the consuming
+	// side's pool, which only moves capacity around.
 	pool core.BufPool
 
 	// devID is fixed at OpenDevice and qpnNext counts QPs created here, so
@@ -186,13 +179,6 @@ type Device struct {
 	// its two scheduled events allocation-free in steady state.
 	evtFree []*sendEvt
 }
-
-// Tag declares the device's identity resources for parallel dispatch: the
-// owning rank's resource and its host's resource, in that order. Deferred
-// fabric events (message arrival, completion delivery) are tagged with both
-// endpoints' identities so the epoch scheduler can run independent RC pairs
-// concurrently. Untagged devices leave their events on sim.Global.
-func (d *Device) Tag(rank, host sim.Res) { d.res[0], d.res[1] = rank, host }
 
 // ErrNoDeviceAccess is returned when a non-privileged container opens the HCA.
 var ErrNoDeviceAccess = fmt.Errorf("ib: device not visible (container lacks --privileged)")
@@ -398,30 +384,7 @@ type QP struct {
 	// broken marks the QP in the error state (retry exhaustion on either
 	// end). Work posted afterwards completes immediately with WCFlushed.
 	broken bool
-
-	// hw is the high-water mark of fabric activity this QP posted: the
-	// latest virtual time of any deferred event it scheduled (arrivals,
-	// transmit ends, acks) — which also bounds its port-bandwidth bookings,
-	// since every booking ends at or before the event that announces it.
-	// Written only while the owning epoch group runs the poster; read at
-	// epoch formation (scheduler context) via Watermark, so the layer above
-	// can prove a pair's shared port state is quiescent before a footprint
-	// drops it.
-	hw sim.Time
 }
-
-// bump advances the QP's activity high-water mark.
-func (q *QP) bump(t sim.Time) {
-	if t > q.hw {
-		q.hw = t
-	}
-}
-
-// Watermark reports the latest virtual time of any deferred fabric event
-// this QP scheduled. When both ends' watermarks are strictly before the
-// current epoch floor, every event the pair ever put on the fabric has been
-// dispatched and all its port-bandwidth bookings lie in the simulated past.
-func (q *QP) Watermark() sim.Time { return q.hw }
 
 // Peer returns the remote end of the RC pair (nil before Connect).
 func (q *QP) Peer() *QP { return q.peer }
@@ -438,9 +401,8 @@ func (q *QP) EnableAutoRecv() { q.autoRecv = true }
 func (q *QP) QPN() int { return q.qpn }
 
 // CreateQP allocates a queue pair using the given CQs for send and receive
-// completions (they may be the same CQ). QPNs are minted device-locally
-// (device index in the high bits) so concurrent epoch groups never contend
-// on a shared counter.
+// completions (they may be the same CQ). QPNs are minted device-locally,
+// with the device index in the high bits.
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
 	return &QP{dev: d, qpn: d.devID<<20 | d.qpnNext, sendCQ: sendCQ, recvCQ: recvCQ}
@@ -462,17 +424,6 @@ func Connect(a, b *QP) error {
 // loopback reports whether the pair's endpoints share a host.
 func (q *QP) loopback() bool {
 	return q.dev.Env.Host == q.peer.dev.Env.Host
-}
-
-// resAll collects the resources a deferred event for this RC pair touches:
-// both endpoints' (rank, host) identity resources. All sim.Global when the
-// layer above never tagged the devices.
-func (q *QP) resAll() (r [4]sim.Res) {
-	r[0], r[1] = q.dev.res[0], q.dev.res[1]
-	if q.peer != nil {
-		r[2], r[3] = q.peer.dev.res[0], q.peer.dev.res[1]
-	}
-	return r
 }
 
 // sendEvt is a pooled deferred-event record for PostSend: one instance backs
@@ -500,8 +451,7 @@ func (d *Device) getEvt() *sendEvt {
 }
 
 // putEvt clears and returns a record to the free list of the device that
-// minted it. Callers run in a group owning the sender's resources, so the
-// free list never crosses an epoch-group boundary.
+// minted it.
 func (d *Device) putEvt(ev *sendEvt) {
 	*ev = sendEvt{}
 	d.evtFree = append(d.evtFree, ev)
@@ -603,15 +553,13 @@ func (f *Fabric) retrySchedule(host int, t0 sim.Time) (at sim.Time, retries int,
 func (f *Fabric) breakPair(at sim.Time, q *QP, wrid uint64, op Opcode, retries int) {
 	peer := q.peer
 	q.broken, peer.broken = true, true
-	q.bump(at)
 	if f.trace != nil {
 		f.trace(TraceEvent{T: at, Kind: TraceQPBreak, Host: q.dev.Env.Host.Index, Retries: retries})
 	}
-	r := q.resAll()
-	f.eng.AtRes(at, func() {
+	f.eng.At(at, func() {
 		q.sendCQ.push(at, CQE{QP: q, WRID: wrid, Op: op, Status: WCRetryExceeded, Retries: retries})
 		peer.recvCQ.push(at, CQE{QP: peer, Op: OpRecv, Status: WCRemoteAbort})
-	}, r[0], r[1], r[2], r[3])
+	})
 }
 
 // flush completes a work request posted to a broken QP with WCFlushed on the
@@ -619,11 +567,10 @@ func (f *Fabric) breakPair(at sim.Time, q *QP, wrid uint64, op Opcode, retries i
 func (q *QP) flush(p *sim.Proc, wrid uint64, op Opcode) {
 	p.Advance(q.dev.fabric.prm.IBPostOverhead)
 	t := p.Now()
-	q.bump(t)
 	sq := q.sendCQ
-	q.dev.fabric.eng.AtRes(t, func() {
+	q.dev.fabric.eng.At(t, func() {
 		sq.push(t, CQE{QP: q, WRID: wrid, Op: op, Status: WCFlushed})
-	}, q.dev.res[0], q.dev.res[1])
+	})
 }
 
 func maxT(a, b sim.Time) sim.Time {
@@ -682,15 +629,12 @@ func (q *QP) PostSend(p *sim.Proc, wrid uint64, payload []byte, imm uint64) {
 	snapshot := q.dev.pool.GetCopy(payload)
 	n := len(snapshot)
 	txEnd, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
-	q.bump(txEnd)
-	q.bump(arrival)
-	r := q.resAll()
 	ae := q.dev.getEvt()
 	ae.q, ae.t, ae.snapshot, ae.n, ae.imm = q, arrival, snapshot, n, imm
-	f.eng.AtArg(arrival, sendArrival, ae, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(arrival, sendArrival, ae)
 	te := q.dev.getEvt()
 	te.q, te.t, te.n, te.wrid, te.retries = q, txEnd, n, wrid, retries
-	f.eng.AtArg(txEnd, sendTxEnd, te, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(txEnd, sendTxEnd, te)
 }
 
 // hdrBytes models the transport header per message on the wire.
@@ -725,8 +669,7 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 	loop := q.loopback()
 	_, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
 	peer := q.peer
-	r := q.resAll()
-	f.eng.AtRes(arrival, func() {
+	f.eng.At(arrival, func() {
 		copy(remote.Buf[off:], snapshot)
 		q.dev.pool.Put(snapshot)
 		if withImm {
@@ -741,14 +684,13 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 				peer.inQ = append(peer.inQ, inbound{payload: nil, imm: imm, op: OpWriteImm, at: arrival})
 			}
 		}
-	}, r[0], r[1], r[2], r[3])
+	})
 	// Local completion after the ack returns (one extra wire hop).
 	ack := arrival + prm.IBWireLatency(loop)
-	q.bump(ack)
 	sq := q.sendCQ
-	f.eng.AtRes(ack, func() {
+	f.eng.At(ack, func() {
 		sq.push(ack, CQE{QP: q, WRID: wrid, Op: OpWrite, Bytes: n, Retries: retries})
-	}, r[0], r[1], r[2], r[3])
+	})
 }
 
 // PostRead RDMA-reads len(dst) bytes from remote[off:] into dst. The remote
@@ -775,20 +717,17 @@ func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int)
 	src, dstHost := q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index
 	// Request hop: header-only message to the remote HCA.
 	_, reqArrive := f.transitTimes(src, dstHost, hdrBytes, t0)
-	q.bump(reqArrive)
 	remoteBuf := remote.Buf
 	sq := q.sendCQ
 	qq := q
-	r := q.resAll()
-	f.eng.AtRes(reqArrive, func() {
+	f.eng.At(reqArrive, func() {
 		// Response hop: data flows remote -> local.
 		snapshot := qq.dev.pool.GetCopy(remoteBuf[off : off+len(dst)])
 		_, respArrive := f.transitTimes(dstHost, src, len(dst)+hdrBytes, reqArrive)
-		qq.bump(respArrive)
-		f.eng.AtRes(respArrive, func() {
+		f.eng.At(respArrive, func() {
 			copy(dst, snapshot)
 			qq.dev.pool.Put(snapshot)
 			sq.push(respArrive, CQE{QP: qq, WRID: wrid, Op: OpRead, Bytes: len(dst)})
-		}, r[0], r[1], r[2], r[3])
-	}, r[0], r[1], r[2], r[3])
+		})
+	})
 }

@@ -42,9 +42,6 @@ func (r *Rank) Checkpoint(blob []byte) error {
 	r.profEnter()
 	defer r.profExit("Checkpoint")
 	r.faultCheck()
-	// The barrier mutates job-global state; in parallel worlds collapse to
-	// sequential dispatch first (fault worlds already run sequentially).
-	r.ensureSerial()
 	w := r.w
 	if w.anyCrashed() {
 		return &CheckpointError{At: r.p.Now(), Dead: w.deadRanksSorted()}

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"cmpi/internal/core"
@@ -187,10 +186,10 @@ func TestCoResidentFraction(t *testing.T) {
 	}
 }
 
-// TestSelectorDeterministicAcrossWidths runs a mixed-size allreduce job at
-// several epoch dispatch widths and requires identical virtual times and
-// identical per-algorithm call counters — the selector must not observe
-// anything width-dependent.
+// TestSelectorDeterministicAcrossWidths runs a mixed-size allreduce job
+// twice and requires identical virtual times and identical per-algorithm call
+// counters — the selector must observe nothing but the job. (The dispatch
+// widths of the name are gone: every world runs one sequential loop.)
 func TestSelectorDeterministicAcrossWidths(t *testing.T) {
 	run := func(t *testing.T) (string, profile.CollAlgoStats) {
 		opts := DefaultOptions()
@@ -209,16 +208,12 @@ func TestSelectorDeterministicAcrossWidths(t *testing.T) {
 		}
 		return w.MaxBodyTime().String(), w.Prof.TotalCollAlgos()
 	}
-	t.Setenv("CMPI_SIM_WORKERS", "1")
 	baseTime, baseColl := run(t)
-	for _, width := range []int{2, 4, 8} {
-		t.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(width))
-		gotTime, gotColl := run(t)
-		if gotTime != baseTime {
-			t.Errorf("width %d: body time %s, want %s", width, gotTime, baseTime)
-		}
-		if gotColl != baseColl {
-			t.Errorf("width %d: coll counters %+v, want %+v", width, gotColl, baseColl)
-		}
+	gotTime, gotColl := run(t)
+	if gotTime != baseTime {
+		t.Errorf("body time %s, first run %s", gotTime, baseTime)
+	}
+	if gotColl != baseColl {
+		t.Errorf("coll counters %+v, first run %+v", gotColl, baseColl)
 	}
 }

@@ -40,8 +40,6 @@ func (c *Comm) Shrink() *Comm {
 	r.profEnter()
 	defer r.profExit("Shrink")
 	r.faultCheck()
-	// The agreement mutates the job-global context counter and sync table.
-	r.ensureSerial()
 	w := r.w
 	ss := w.shrinks[c.ctx]
 	if ss == nil || ss.done {

@@ -6,20 +6,13 @@ package mpi
 // the flat engine with no goroutine, stack, or channel handshake per rank.
 //
 // The step functions below mirror the blocking code in coll.go/pt2pt.go
-// action for action. Three primitives make that possible:
+// action for action. Two facts make that possible:
 //
-//   - isendPrep/isendDispatch (pt2pt.go) split isendCtx around its pair
-//     claim. A machine pre-claims between the two halves; if the claim had
-//     to regroup (Proc.Deferred), the machine returns sim.More and retries
-//     dispatch next epoch at the same virtual time — exactly when the
-//     blocking path's in-protocol claim resumes after YieldRegroup. On
-//     retry the protocol entry's own claimPair is a no-op (Request.hasClaim).
 //   - waitStep (rank.go) is one pass of the blocking waitUntil loop: park
 //     instead of looping, with the next step re-entering the loop exactly
 //     where Park would have returned.
-//   - receives (irecvCtx) never block the caller, so machines post them
-//     directly. A rendezvous match's claim (bindEnvelope) never regroups:
-//     the sender's still-live claim already merged the pair's groups.
+//   - sends and receives (isendCtx, irecvCtx) never block a machine rank —
+//     machine Advance is a pure clock bump — so machines post them directly.
 //
 // Every blocking primitive is the last action before its machine unwinds
 // with sim.More, so the flat engine's blocking-last-action contract holds;
@@ -59,17 +52,11 @@ func (w *World) RunMachine(mk func(rank int) Program) error {
 	if w.tracing {
 		w.installTracer()
 	}
-	// Same dispatch gate as World.Run: see the comment there.
-	w.parallel = w.inj == nil
 	for i := range w.ranks {
 		r := w.ranks[i]
-		p := w.Eng.GoMachine(fmt.Sprintf("rank%d", r.rank), &rankMachine{
+		w.Eng.GoMachine(fmt.Sprintf("rank%d", r.rank), &rankMachine{
 			w: w, r: r, prog: mk(r.rank),
 		})
-		if w.parallel {
-			p.SetRes(w.resRank(r.rank))
-			p.SetFootprint(r.footprint)
-		}
 	}
 	return w.finishRun(w.Eng.Run())
 }
@@ -141,7 +128,6 @@ func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
 			p.Park()
 			return sim.More
 		}
-		r.parallelReady = true
 		if w.restored != nil {
 			w.restoreRank(r)
 		}
@@ -184,43 +170,10 @@ func (m *rankMachine) stepBody() (flow sim.Flow, err error) {
 	return m.prog.Step(m.r), nil
 }
 
-// msend drives one collective-context isend across machine steps: prep and
-// trace once, pre-claim the pair, and if the claim deferred the rank to the
-// next epoch group (regroup yield) retry the dispatch there — the same
-// virtual instant the blocking path's in-protocol claim resumes at. step
-// returns true once the send is handed to its protocol (req is then live);
-// false means the step's blocking primitive fired and the machine must
-// unwind with sim.More.
-type msend struct {
-	req  *Request
-	path core.Path
-	pend bool
-}
-
-func (m *msend) step(r *Rank, dst, tag int, data []byte) bool {
-	if !m.pend {
-		req, path, done := r.isendPrep(dst, tag, collCtxBit, data)
-		m.req, m.path = req, path
-		if done {
-			return true // self-send: completed inline
-		}
-		r.claimPair(req, dst, path == core.PathHCAEager || path == core.PathHCARndv)
-		if r.p.Deferred() {
-			m.pend = true
-			return false
-		}
-	} else {
-		m.pend = false
-	}
-	r.isendDispatch(m.req, m.path)
-	return true
-}
-
 // msr is sendrecvInternal as a machine: post the receive, start the send,
 // wait receive then send, recycle both requests.
 type msr struct {
 	rq, sq *Request
-	snd    msend
 	st     uint8
 }
 
@@ -228,20 +181,14 @@ func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int,
 	switch m.st {
 	case 0:
 		m.rq = r.irecvCtx(src, recvTag, collCtxBit, recvBuf)
+		m.sq = r.isendCtx(dst, sendTag, collCtxBit, sendData)
 		m.st = 1
 		fallthrough
 	case 1:
-		if !m.snd.step(r, dst, sendTag, sendData) {
-			return false
-		}
-		m.sq = m.snd.req
-		m.st = 2
-		fallthrough
-	case 2:
 		if !r.waitStep(func() bool { return m.rq.done }) {
 			return false
 		}
-		m.st = 3
+		m.st = 2
 		fallthrough
 	default:
 		if !r.waitStep(func() bool { return m.sq.done }) {
@@ -259,7 +206,6 @@ type mbarrier struct {
 	tag    int
 	k      int
 	rq, sq *Request
-	snd    msend
 	st     uint8
 }
 
@@ -275,20 +221,14 @@ func (m *mbarrier) step(r *Rank) bool {
 		switch m.st {
 		case 1:
 			m.rq = r.irecvCtx(src, m.tag, collCtxBit, nil)
+			m.sq = r.isendCtx(dst, m.tag, collCtxBit, nil)
 			m.st = 2
 			fallthrough
 		case 2:
-			if !m.snd.step(r, dst, m.tag, nil) {
-				return false
-			}
-			m.sq = m.snd.req
-			m.st = 3
-			fallthrough
-		case 3:
 			if !r.waitStep(func() bool { return m.sq.done }) {
 				return false
 			}
-			m.st = 4
+			m.st = 3
 			fallthrough
 		default:
 			if !r.waitStep(func() bool { return m.rq.done }) {
@@ -309,7 +249,6 @@ type mreduce struct {
 	mask  int
 	tmp   []byte
 	rq    *Request
-	snd   msend
 	st    uint8 // 0 at loop position, 1 waiting parent send, 2 waiting child recv
 	init  bool
 }
@@ -330,10 +269,7 @@ func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
 		if m.vrank&m.mask != 0 {
 			// Send to the parent; this rank's part is done.
 			if m.st == 0 {
-				if !m.snd.step(r, abs(m.vrank-m.mask), m.tag, buf) {
-					return false
-				}
-				m.rq = m.snd.req
+				m.rq = r.isendCtx(abs(m.vrank-m.mask), m.tag, collCtxBit, buf)
 				m.st = 1
 			}
 			if !r.waitStep(func() bool { return m.rq.done }) {
@@ -366,7 +302,6 @@ type mbcast struct {
 	vrank int
 	mask  int
 	rq    *Request
-	snd   msend
 	ph    uint8 // 0 init, 1 receive walk, 2 forward walk
 	st    uint8 // 0 at position, 1 waiting
 }
@@ -403,10 +338,7 @@ func (m *mbcast) step(r *Rank, root int, data []byte) bool {
 	for m.mask > 0 {
 		if m.vrank+m.mask < r.size {
 			if m.st == 0 {
-				if !m.snd.step(r, abs(m.vrank+m.mask), m.tag, data) {
-					return false
-				}
-				m.rq = m.snd.req
+				m.rq = r.isendCtx(abs(m.vrank+m.mask), m.tag, collCtxBit, data)
 				m.st = 1
 			}
 			if !r.waitStep(func() bool { return m.rq.done }) {
@@ -422,8 +354,8 @@ func (m *mbcast) step(r *Rank, root int, data []byte) bool {
 
 // mrd is Rank.allreduceRD (recursive doubling with the non-power-of-two
 // fold) as a machine. The fold and unfold states are inlined, reusing one
-// send submachine and one request slot, to keep the struct lean — a machine
-// rank's accounted footprint is this struct.
+// request slot, to keep the struct lean — a machine rank's accounted
+// footprint is this struct.
 type mrd struct {
 	tag     int
 	rem     int
@@ -431,7 +363,6 @@ type mrd struct {
 	mask    int
 	tmp     []byte
 	rq      *Request
-	snd     msend
 	sr      msr
 	st      uint8 // 0 init, 1 fold send, 2 fold recv, 3 exchange, 4 unfold recv, 5 unfold send
 	wait    bool  // inner position: request posted, waiting completion
@@ -457,10 +388,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1: // fold: surplus even rank sends its buffer to the odd partner
 		if !m.wait {
-			if !m.snd.step(r, r.rank+1, m.tag, buf) {
-				return false
-			}
-			m.rq, m.wait = m.snd.req, true
+			m.rq, m.wait = r.isendCtx(r.rank+1, m.tag, collCtxBit, buf), true
 		}
 		if !r.waitStep(func() bool { return m.rq.done }) {
 			return false
@@ -514,10 +442,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			if !m.snd.step(r, r.rank-1, m.tag, buf) {
-				return false
-			}
-			m.rq, m.wait = m.snd.req, true
+			m.rq, m.wait = r.isendCtx(r.rank-1, m.tag, collCtxBit, buf), true
 		}
 		if !r.waitStep(func() bool { return m.rq.done }) {
 			return false
@@ -544,8 +469,7 @@ type mrab struct {
 	lo, hi            int
 	mask              int
 	tmp               []byte
-	rq                *Request
-	snd               msend
+	rq, sq            *Request
 	st                uint8 // 0 init, 1 fold send, 2 fold recv, 3 RS, 4 AG, 5 unfold recv, 6 unfold send
 	sub               uint8 // within an RS/AG iteration: 0 post, 1 wait send, 2 wait recv
 	wait              bool
@@ -574,10 +498,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1:
 		if !m.wait {
-			if !m.snd.step(r, r.rank+1, m.tag, buf) {
-				return false
-			}
-			m.rq, m.wait = m.snd.req, true
+			m.rq, m.wait = r.isendCtx(r.rank+1, m.tag, collCtxBit, buf), true
 		}
 		if !r.waitStep(func() bool { return m.rq.done }) {
 			return false
@@ -616,19 +537,14 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 				switch m.sub {
 				case 0:
 					m.rq = r.irecvCtx(peer, m.tagRS, collCtxBit, m.tmp[keepLo:keepHi])
+					m.sq = r.isendCtx(peer, m.tagRS, collCtxBit, buf[sendLo:sendHi])
 					m.sub = 1
 					fallthrough
 				case 1:
-					if !m.snd.step(r, peer, m.tagRS, buf[sendLo:sendHi]) {
+					if !r.waitStep(func() bool { return m.sq.done }) {
 						return false
 					}
 					m.sub = 2
-					fallthrough
-				case 2:
-					if !r.waitStep(func() bool { return m.snd.req.done }) {
-						return false
-					}
-					m.sub = 3
 					fallthrough
 				default:
 					if !r.waitStep(func() bool { return m.rq.done }) {
@@ -660,19 +576,14 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 				switch m.sub {
 				case 0:
 					m.rq = r.irecvCtx(peer, m.tagAG, collCtxBit, buf[peerLo:peerHi])
+					m.sq = r.isendCtx(peer, m.tagAG, collCtxBit, buf[m.lo:m.hi])
 					m.sub = 1
 					fallthrough
 				case 1:
-					if !m.snd.step(r, peer, m.tagAG, buf[m.lo:m.hi]) {
+					if !r.waitStep(func() bool { return m.sq.done }) {
 						return false
 					}
 					m.sub = 2
-					fallthrough
-				case 2:
-					if !r.waitStep(func() bool { return m.snd.req.done }) {
-						return false
-					}
-					m.sub = 3
 					fallthrough
 				default:
 					if !r.waitStep(func() bool { return m.rq.done }) {
@@ -708,10 +619,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			if !m.snd.step(r, r.rank-1, m.tag, buf) {
-				return false
-			}
-			m.rq, m.wait = m.snd.req, true
+			m.rq, m.wait = r.isendCtx(r.rank-1, m.tag, collCtxBit, buf), true
 		}
 		if !r.waitStep(func() bool { return m.rq.done }) {
 			return false

@@ -14,12 +14,12 @@ import (
 
 // machTestTopo is a 2-rack fat tree: 4 hosts in racks of two behind one
 // spine stage, small enough for -race yet exercising cross-rack HCA paths
-// and the spine-resource footprints.
+// and spine contention.
 var machTestTopo = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
 
 // machWorld builds an n-rank world for the machine-equivalence tests with a
-// textual trace attached, pinning engine mode and dispatch width.
-func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*World, *bytes.Buffer) {
+// textual trace attached, pinning the engine mode.
+func machWorld(t *testing.T, n int, topo ib.Topology, flat bool) (*World, *bytes.Buffer) {
 	t.Helper()
 	hosts := 1
 	if n > 16 {
@@ -39,7 +39,6 @@ func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*
 		t.Fatal(err)
 	}
 	w.Eng.SetFlat(flat)
-	w.Eng.SetWorkers(workers)
 	return w, &buf
 }
 
@@ -57,34 +56,33 @@ var machTopos = []struct {
 	{"fattree", machTestTopo},
 }
 
-// TestMachineBodiesEngineAndWidthInvariant is the tentpole equivalence gate:
+// TestMachineBodiesEngineAndWidthInvariant is the engine equivalence gate:
 // a 64-rank allreduce with machine-native rank bodies must produce
-// byte-identical traces on the flat and goroutine engines at dispatch widths
-// 1/2/4/8 — the same machine code either steps flat or blocks for real on a
-// goroutine, and worker count can never change simulated results — on the
-// trivial topology and on a 2-rack fat tree.
+// byte-identical traces on the flat and goroutine engines — the same machine
+// code either steps flat or blocks for real on a goroutine — and again on a
+// second flat run, on the trivial topology and on a 2-rack fat tree. (The
+// dispatch widths of the name are gone: every world runs one sequential
+// loop.)
 func TestMachineBodiesEngineAndWidthInvariant(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref []byte
-			for _, flat := range []bool{true, false} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					name := fmt.Sprintf("flat=%v/w%d", flat, workers)
-					w, buf := machWorld(t, machRanks, tc.topo, flat, workers)
-					if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
-						t.Fatalf("%s: %v", name, err)
+			for i, flat := range []bool{true, false, true} {
+				name := fmt.Sprintf("run %d flat=%v", i, flat)
+				w, buf := machWorld(t, machRanks, tc.topo, flat)
+				if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if ref == nil {
+					ref = buf.Bytes()
+					if len(ref) == 0 {
+						t.Fatal("machine world produced an empty trace")
 					}
-					if ref == nil {
-						ref = buf.Bytes()
-						if len(ref) == 0 {
-							t.Fatal("machine world produced an empty trace")
-						}
-						continue
-					}
-					if !bytes.Equal(ref, buf.Bytes()) {
-						t.Errorf("%s: trace diverges from flat/w1 (%d vs %d bytes)",
-							name, buf.Len(), len(ref))
-					}
+					continue
+				}
+				if !bytes.Equal(ref, buf.Bytes()) {
+					t.Errorf("%s: trace diverges from the first flat run (%d vs %d bytes)",
+						name, buf.Len(), len(ref))
 				}
 			}
 		})
@@ -116,11 +114,11 @@ func perRankOps(trace []byte) []string {
 func TestMachineBodiesMatchBlockingOps(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
-			wb, bufB := machWorld(t, machRanks, tc.topo, false, 1)
+			wb, bufB := machWorld(t, machRanks, tc.topo, false)
 			if err := wb.Run(AllreduceWorkload(machIters, machBytes)); err != nil {
 				t.Fatalf("blocking: %v", err)
 			}
-			wm, bufM := machWorld(t, machRanks, tc.topo, true, 1)
+			wm, bufM := machWorld(t, machRanks, tc.topo, true)
 			if err := wm.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
 				t.Fatalf("machine: %v", err)
 			}
@@ -137,30 +135,16 @@ func TestMachineBodiesMatchBlockingOps(t *testing.T) {
 	}
 }
 
-// TestFatTreeWorldDispatchesParallel pins the spine-footprint half of the
-// tentpole: a racked fat-tree world no longer serializes — epoch dispatch
-// batches groups (MaxBatchWidth > 1) — with byte-identical results at every
-// width (TestMachineBodiesEngineAndWidthInvariant covers the identity).
-func TestFatTreeWorldDispatchesParallel(t *testing.T) {
-	w, _ := machWorld(t, machRanks, machTestTopo, true, 8)
-	if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Eng.Stats().MaxBatchWidth; got <= 1 {
-		t.Errorf("fat-tree world dispatched with MaxBatchWidth=%d; want > 1", got)
-	}
-}
-
 // TestMachineBodiesMemoryAdvantage checks the accounted per-rank memory:
 // flat machine bodies must beat goroutine-backed machine bodies (which pay
 // the stack + g descriptor + channel-pair floor) by a wide margin, since
 // that floor is the whole point of porting rank bodies to machines.
 func TestMachineBodiesMemoryAdvantage(t *testing.T) {
-	wf, _ := machWorld(t, machRanks, ib.Topology{}, true, 1)
+	wf, _ := machWorld(t, machRanks, ib.Topology{}, true)
 	if err := wf.RunMachine(AllreduceProgram(1, machBytes)); err != nil {
 		t.Fatal(err)
 	}
-	wg, _ := machWorld(t, machRanks, ib.Topology{}, false, 1)
+	wg, _ := machWorld(t, machRanks, ib.Topology{}, false)
 	if err := wg.Run(AllreduceWorkload(1, machBytes)); err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,6 @@ package mpi
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 
 	"cmpi/internal/core"
 	"cmpi/internal/fault"
@@ -46,13 +44,12 @@ type Options struct {
 	// Trace, when non-nil, receives one line per message event (send
 	// initiation with its selected path, receive completion) in the legacy
 	// line format — a lightweight message tracer for debugging channel
-	// selection. Lines ride the engine's deterministic emitter, so a traced
-	// world keeps epoch-parallel dispatch and the output is byte-identical
-	// at every worker count.
+	// selection. Lines ride the engine's emitter in dispatch order; tracing
+	// never changes a simulated result.
 	Trace io.Writer
 	// Record, when non-nil, captures the structured trace: every message,
 	// protocol-transition, and fault event as a versioned trace.Record in
-	// deterministic commit order, replayable offline with trace.Replay.
+	// dispatch order, replayable offline with trace.Replay.
 	// A Recorder is single-shot — build a fresh one per world.
 	Record *trace.Recorder
 	// FaultPlan, when non-nil, is a deterministic schedule of injected
@@ -67,46 +64,21 @@ type Options struct {
 	// stages). The zero value is the paper's testbed: one non-blocking
 	// crossbar, byte-identical to the runtime before topology existed. A
 	// non-trivial topology adds per-hop latency and per-spine contention to
-	// inter-rack transfers; spine switches are shared across hosts, so such
-	// worlds run under serialized dispatch exactly like fault-injected ones.
+	// inter-rack transfers, with spine switches shared across hosts.
 	Topology ib.Topology
-	// FootprintDecay controls how many epochs a released pair claim lingers
-	// in a rank's dispatch footprint before adaptive decay may drop it (see
-	// Rank.footprint). Zero — the default — reads CMPI_FOOTPRINT_DECAY from
-	// the environment, falling back to DefaultFootprintDecay; a positive
-	// value pins the window to that many epochs regardless of the
-	// environment; a negative value (like CMPI_FOOTPRINT_DECAY=0) forces the
-	// legacy sticky footprints, where a claimed pair never leaves the
-	// footprint. Decay affects only grouping — which events may dispatch
-	// concurrently — so any setting yields deterministic results at every
-	// dispatch width, but different settings may schedule messages at
-	// different virtual times.
+	// FootprintDecay is ignored.
+	//
+	// Deprecated: epoch dispatch and its footprint decay are gone; kept so
+	// existing callers compile.
 	FootprintDecay int
 }
 
-// DefaultFootprintDecay is the footprint decay window used when neither
-// Options.FootprintDecay nor CMPI_FOOTPRINT_DECAY picks one: a released pair
-// survives four epochs, long enough that the recurring pairs of a running
-// collective stay merged, short enough that a phase change re-widens within
-// a few formations even without a detected yield storm.
+// DefaultFootprintDecay is the value Options.FootprintDecay used to default
+// to.
+//
+// Deprecated: epoch dispatch and its footprint decay are gone; kept so
+// existing callers compile.
 const DefaultFootprintDecay = 4
-
-// resolveFootprintDecay maps the option (see Options.FootprintDecay) to the
-// effective window: 0 means sticky, n > 0 means drop after n epochs.
-func resolveFootprintDecay(opt int) int {
-	if opt < 0 {
-		return 0
-	}
-	if opt > 0 {
-		return opt
-	}
-	if s := os.Getenv("CMPI_FOOTPRINT_DECAY"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return DefaultFootprintDecay
-}
 
 // DefaultOptions is the paper's proposed configuration: locality-aware with
 // container-tuned channel parameters.

@@ -4,9 +4,8 @@ import "cmpi/internal/core"
 
 // Free lists for the per-message hot-path objects: ring packets, send
 // operations, envelopes, requests and the byte buffers behind them. One set
-// per Rank: gets and puts happen in the owning rank's process context, so
-// under epoch dispatch each pool is only touched by the group owning that
-// rank's resource — no locking needed (the same reasoning as core.BufPool).
+// per Rank: gets and puts happen in the owning rank's process context, and
+// the engine runs one process at a time, so no locking is needed.
 // Objects may migrate between ranks' pools (a packet allocated by the sender
 // retires into the receiver's list); only capacity moves, never live state.
 //

@@ -73,7 +73,6 @@ func parseHdr(buf []byte) hcaMsg {
 // completes locally right away — classic eager semantics.
 func (r *Rank) hcaEagerSend(req *Request) {
 	prm := &r.w.Opts.Params
-	r.claimPair(req, req.peer, true)
 	qp := r.qpFor(req.peer)
 	seq := r.sendSeq[req.peer]
 	r.sendSeq[req.peer]++
@@ -93,7 +92,6 @@ func (r *Rank) hcaRndvSend(req *Request) {
 	// receiver's WRITE_IMM completion — after our own wait returns — so it
 	// must never be recycled.
 	req.noPool = true
-	r.claimPair(req, req.peer, true)
 	qp := r.qpFor(req.peer)
 	seq := r.sendSeq[req.peer]
 	r.sendSeq[req.peer]++

@@ -95,19 +95,6 @@ func (s *shmRing) in(rank int) *ringDir {
 	return s.dirs[0]
 }
 
-// idle reports that both directions are fully drained — no undrained packet
-// and no sender stalled on the budget. Consulted by adaptive footprint decay
-// (Rank.pairIdle): a non-empty ring means one side still has bytes the other
-// must consume, so the pair cannot leave either footprint yet.
-func (s *shmRing) idle() bool {
-	for _, d := range s.dirs {
-		if d.head < len(d.q) || d.stalled {
-			return false
-		}
-	}
-	return true
-}
-
 // tryPush appends pkt if the budget allows. Control packets (footprint 0)
 // always fit. The receiver is woken at the packet's availability time.
 func (d *ringDir) tryPush(r *Rank, pkt *shmPacket) bool {
@@ -188,9 +175,6 @@ type sendOp struct {
 // If the pair's shared ring cannot be attached (injected fault), the send
 // degrades to the HCA channel — the stock path for non-colocated peers.
 func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
-	// Claim the pair before any ring state is touched (the attach itself
-	// publishes into both ranks' localPairs lists).
-	r.claimPair(req, req.peer, false)
 	if _, err := r.ringFor(req.peer); err != nil {
 		// The record keeps the originally selected path (the legacy line
 		// format prints the fallback target instead); the message's sequence

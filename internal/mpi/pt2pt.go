@@ -30,12 +30,6 @@ type Request struct {
 	env    *envelope
 	err    error
 	noPool bool // excluded from request recycling (see pool.go)
-
-	// Epoch-dispatch claim (parallel worlds): while hasClaim, this request
-	// keeps claimPeer's rank merged into the owner's footprint (see
-	// Rank.claimPair). Released at completion or failure.
-	claimPeer int
-	hasClaim  bool
 }
 
 // Done reports completion without progressing the engine (see Test).
@@ -54,7 +48,6 @@ func (r *Rank) failRequest(req *Request, cause error) {
 	}
 	req.err = cause
 	req.done = true
-	r.releaseClaim(req)
 	for i, pr := range r.posted {
 		if pr == req {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
@@ -132,13 +125,6 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 	env.req = req
 	req.env = env
 	switch env.path {
-	case core.PathCMARndv, core.PathSHMRndv, core.PathHCARndv:
-		// Rendezvous pulls data from (or signals) the sender: claim the pair
-		// before the first cross-rank touch. env.src is concrete even for
-		// AnySource receives.
-		r.claimPair(req, env.src, env.path == core.PathHCARndv)
-	}
-	switch env.path {
 	case core.PathCMARndv:
 		r.performCMARead(env, req)
 	case core.PathSHMRndv:
@@ -170,7 +156,6 @@ func (r *Rank) completeRecv(req *Request, env *envelope) {
 	}
 	req.status = Status{Source: env.src, Tag: env.tag, Bytes: env.size}
 	req.done = true
-	r.releaseClaim(req)
 	r.trace(trace.OpRecv, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
 	r.pools.buf.Put(env.staged)
 	req.env = nil
@@ -180,7 +165,6 @@ func (r *Rank) completeRecv(req *Request, env *envelope) {
 // completeSend finishes a send (buffer reusable).
 func (r *Rank) completeSend(req *Request) {
 	req.done = true
-	req.r.releaseClaim(req)
 }
 
 // selfSend delivers a message a rank addresses to itself via one local copy.
@@ -218,56 +202,37 @@ func (r *Rank) isend(dst, tag int, data []byte) *Request {
 	return r.isendCtx(dst, tag, 0, data)
 }
 
-// isendCtx starts a send on an arbitrary communicator context.
+// isendCtx starts a send on an arbitrary communicator context: validate,
+// build the request, take the fast paths (self-send, dead destination),
+// select the channel, emit the send trace record and enter the channel
+// protocol. It never blocks a machine rank: protocol entry only queues work
+// and bumps the clock.
 func (r *Rank) isendCtx(dst, tag, ctx int, data []byte) *Request {
-	req, path, done := r.isendPrep(dst, tag, ctx, data)
-	if done {
-		return req
-	}
-	r.isendDispatch(req, path)
-	return req
-}
-
-// isendPrep is the front half of isendCtx: validate, build the request,
-// take the fast paths (self-send, dead destination), select the channel and
-// emit the send trace record. done=true means the request needs no protocol
-// dispatch. Split from isendDispatch so machine ranks (machine.go) can
-// claim the destination pair — and possibly regroup-yield — between the
-// trace emission and the protocol entry, at exactly the virtual instant the
-// blocking path's internal claimPair fires.
-func (r *Rank) isendPrep(dst, tag, ctx int, data []byte) (req *Request, path core.Path, done bool) {
 	if dst < 0 || dst >= r.size {
 		r.p.Fatalf("Isend to rank %d outside world of size %d", dst, r.size)
 	}
-	req = r.getReq()
+	req := r.getReq()
 	req.r, req.isSend, req.peer, req.tag, req.ctx, req.sbuf = r, true, dst, tag, ctx, data
 	if dst == r.rank {
 		r.trace(trace.OpSend, trace.PathSelf, req.peer, tag, ctx, len(data), r.sendSeq[r.rank])
 		r.selfSend(req)
-		return req, 0, true
+		return req
 	}
 	if r.w.Opts.ErrHandler == ErrorsRecover && r.w.rankDead(dst) {
 		// ULFM fast path: the destination crashed, so the send can never be
 		// received (real messages may race the failure notice; the simulation
 		// observes crashes at their virtual instant).
 		r.failRequest(req, &ProcFailedError{Peer: dst, At: r.p.Now()})
-		return req, 0, true
+		return req
 	}
 	if r.deadPeers[dst] {
 		// The HCA channel to dst already broke under ErrorsReturn: fail fast
 		// instead of posting into a flushed connection.
 		r.failRequest(req, &ChannelError{Peer: dst, Status: ib.WCFlushed})
-		return req, 0, true
+		return req
 	}
-	path = r.pathFor(dst, len(data))
+	path := r.pathFor(dst, len(data))
 	r.trace(trace.OpSend, trace.PathOf(path), dst, tag, ctx, len(data), r.sendSeq[dst])
-	return req, path, false
-}
-
-// isendDispatch is the back half of isendCtx: enter the selected channel
-// protocol. Each protocol entry claims the pair itself (a no-op if the
-// caller already claimed it on the same request).
-func (r *Rank) isendDispatch(req *Request, path core.Path) {
 	switch path {
 	case core.PathSHMEager, core.PathSHMRndv, core.PathCMARndv:
 		r.enqueueShmSend(req, path)
@@ -276,6 +241,7 @@ func (r *Rank) isendDispatch(req *Request, path core.Path) {
 	case core.PathHCARndv:
 		r.hcaRndvSend(req)
 	}
+	return req
 }
 
 // Irecv starts a nonblocking receive into buf. src may be AnySource and tag

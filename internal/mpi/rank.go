@@ -48,12 +48,9 @@ type Rank struct {
 	collSeq    int
 	localPairs []*pairShared
 
-	// epoch-dispatch state (parallel worlds; see Rank.footprint)
-	parallelReady bool           // past the post-init barrier: footprint may narrow
-	touchedPairs  []*pairShared  // pairs this rank ever claimed (footprint enumeration)
-	msgSeq        uint64         // rank-local rendezvous id sequence
-	qpPeer        map[*ib.QP]int // QP → far-end rank (rank-private completion routing)
-	pools         worldPools     // per-rank free lists (see pool.go)
+	msgSeq uint64         // rank-local rendezvous id sequence
+	qpPeer map[*ib.QP]int // QP → far-end rank (rank-private completion routing)
+	pools  worldPools     // per-rank free lists (see pool.go)
 
 	// fault state
 	hasCrash  bool
@@ -167,9 +164,6 @@ func (r *Rank) initPre() error {
 	if r.dev != nil {
 		r.cq = r.dev.CreateCQ()
 		r.cq.SetWaiter(r.p)
-		// Tag the device so its deferred fabric events carry this rank's and
-		// host's resources for epoch dispatch.
-		r.dev.Tag(r.w.resRank(r.rank), r.w.resHost(r.env.Host.Index))
 	}
 
 	// Container Locality Detector (the paper's design) publishes before the
@@ -286,233 +280,6 @@ func (r *Rank) pathFor(peer, size int) core.Path {
 	return path
 }
 
-// footprint declares the resources this rank's process may touch during the
-// next epoch of parallel dispatch: its own rank resource, plus — for every
-// pair it has claimed and not yet decayed — the peer's rank resource, and
-// both hosts' port resources once the pair has used the HCA channel. During
-// init, or after the world serializes (communicator/RMA global tables in
-// play), the footprint is Global and the rank joins the one serialized
-// group. Called in scheduler context at epoch formation; reads only
-// formation-stable state.
-//
-// A claimed pair may not leave the footprint the moment its claims drain.
-// Dropping it early would let the two ranks' groups split between messages
-// and re-merge on the next claim — and during the claim's regroup epoch the
-// established group keeps dispatching, running ahead in virtual time on
-// shared fabric state (port bandwidth queues) that the claimer then mutates
-// at an earlier timestamp. Those ordering inversions are exactly what the
-// conservative contract must rule out: timing-model state must observe its
-// events in virtual-time order.
-//
-// Instead of staying sticky forever (the legacy behavior, still available
-// via FootprintDecay < 0 / CMPI_FOOTPRINT_DECAY=0), pairs decay: a pair is
-// dropped once it is provably quiescent — no outstanding claims, no
-// in-flight rendezvous, SHM ring drained, and both QPs' event high-water
-// marks strictly below this epoch's floor, so every fabric event and port
-// booking the pair ever produced lies entirely in the simulated past — and
-// its decay window has elapsed (or the engine detected a phase change,
-// which retires stale pairs eagerly; see Engine.PhaseShift). Quiescence
-// makes the drop sound: nothing the pair's history booked on shared port
-// queues can still be observed out of order. The window makes it cheap:
-// the recurring pairs of a running collective never decay mid-pattern, so
-// steady patterns keep their converged groups, while phase changes shed
-// dead pairs and re-widen instead of collapsing the job into one group
-// forever.
-func (r *Rank) footprint(buf []sim.Res) []sim.Res {
-	w := r.w
-	if !r.parallelReady || w.serial.Load() {
-		// Keep the rank's own resource alongside Global so in-flight tagged
-		// fabric events (which name rank and host resources, never Global)
-		// still merge into the one serialized group instead of forming a
-		// concurrent sibling.
-		return append(buf, sim.Global, w.resRank(r.rank))
-	}
-	if w.decay > 0 && len(r.touchedPairs) > 0 {
-		r.decayPairs()
-	}
-	buf = append(buf, w.resRank(r.rank))
-	hosts := false
-	myHost := r.env.Host.Index
-	for _, ps := range r.touchedPairs {
-		peer := ps.other(r.rank)
-		buf = append(buf, w.resRank(peer))
-		if ps.hca[0] || ps.hca[1] {
-			hosts = true
-			peerHost := w.Deploy.Placements[peer].Env.Host.Index
-			buf = append(buf, w.resHost(peerHost))
-			// Under a non-trivial topology an HCA pair's footprint also spans
-			// every spine switch its cross-rack routes can book: spine
-			// next-free words are shared fabric state exactly like port
-			// bandwidth, and declaring them is what lets racked fat-tree
-			// worlds keep epoch-parallel dispatch (duplicates across pairs
-			// are harmless — union-find re-merges the same resource).
-			buf = append(buf, w.spineRes(myHost, peerHost)...)
-		}
-	}
-	if hosts {
-		buf = append(buf, w.resHost(myHost))
-	}
-	return buf
-}
-
-// decayPairs compacts touchedPairs in place (preserving first-use order, so
-// footprint enumeration stays deterministic), dropping every pair that
-// pairIdle proves quiescent. Runs in scheduler context at epoch formation,
-// after the barrier — all per-side words written during execution are
-// visible and stable.
-func (r *Rank) decayPairs() {
-	eng := r.w.Eng
-	floor := eng.Now()     // epoch floor: min virtual time over all pending events
-	epoch := eng.EpochID() // the epoch being formed
-	shift := eng.PhaseShift()
-	kept := r.touchedPairs[:0]
-	for _, ps := range r.touchedPairs {
-		if !r.pairIdle(ps, floor, epoch, shift) {
-			kept = append(kept, ps)
-			continue
-		}
-		ps.listed[ps.side(r.rank)] = false
-		eng.AddNarrowed(1)
-	}
-	for i := len(kept); i < len(r.touchedPairs); i++ {
-		r.touchedPairs[i] = nil
-	}
-	r.touchedPairs = kept
-}
-
-// pairIdle reports whether ps is provably quiescent at this epoch's floor
-// and past its decay window, i.e. safe to drop from the footprint. The
-// conditions, in increasing cost:
-//
-//   - no side holds an in-flight claim and no rendezvous transfer is open;
-//   - the decay window has elapsed since either side's last claim/release
-//     (skipped when the engine detected a phase change — stale pairs of the
-//     dead pattern retire eagerly so the new pattern re-widens at once);
-//   - the pair's SHM ring, if created, is fully drained;
-//   - both QPs' high-water marks are strictly below the epoch floor: every
-//     pending event in the whole world has t >= floor, so hw < floor means
-//     every fabric event the pair ever scheduled has already dispatched and
-//     every port-bandwidth booking it made lies entirely in the simulated
-//     past — no group formed without this pair can observe its history out
-//     of virtual-time order.
-func (r *Rank) pairIdle(ps *pairShared, floor sim.Time, epoch uint64, shift bool) bool {
-	if ps.claims[0] != 0 || ps.claims[1] != 0 || len(ps.rndv) != 0 {
-		return false
-	}
-	if !shift {
-		last := ps.lastEpoch[0]
-		if ps.lastEpoch[1] > last {
-			last = ps.lastEpoch[1]
-		}
-		if epoch < last+uint64(r.w.decay) {
-			return false
-		}
-	}
-	if ps.ring != nil && !ps.ring.idle() {
-		return false
-	}
-	for _, q := range ps.qps {
-		if q != nil && q.Watermark() >= floor {
-			return false
-		}
-	}
-	return true
-}
-
-// claimPair declares that req will touch peer's state (matching queues,
-// rings, rendezvous table) until it completes. The claim widens this rank's
-// footprint to cover the peer — and both hosts' ports when the HCA carries
-// the traffic — and, if the current epoch group does not own those resources
-// yet, yields so the next epoch merges the two ranks' groups. Call at
-// protocol entry, before the first cross-rank touch.
-func (r *Rank) claimPair(req *Request, peer int, hca bool) {
-	if !r.w.parallel || peer == r.rank || req.hasClaim {
-		return
-	}
-	ps := r.w.pair(r.rank, peer)
-	si := ps.side(r.rank)
-	ps.claims[si]++
-	ps.lastEpoch[si] = r.w.Eng.EpochID()
-	if hca && !ps.hca[si] {
-		ps.hca[si] = true
-	}
-	if !ps.listed[si] {
-		ps.listed[si] = true
-		r.touchedPairs = append(r.touchedPairs, ps)
-	}
-	req.claimPeer = peer
-	req.hasClaim = true
-	if !r.canTouchPair(ps) {
-		r.p.YieldRegroup()
-	}
-}
-
-// canTouchPair reports whether the current epoch group owns everything a
-// claimed pair needs.
-func (r *Rank) canTouchPair(ps *pairShared) bool {
-	peer := ps.other(r.rank)
-	if !r.p.CanTouch(r.w.resRank(peer)) {
-		return false
-	}
-	if ps.hca[0] || ps.hca[1] {
-		peerHost := r.w.Deploy.Placements[peer].Env.Host.Index
-		if !r.p.CanTouch(r.w.resHost(r.env.Host.Index)) ||
-			!r.p.CanTouch(r.w.resHost(peerHost)) {
-			return false
-		}
-		for _, res := range r.w.spineRes(r.env.Host.Index, peerHost) {
-			if !r.p.CanTouch(res) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// claimStrict is a test hook: when set, claim-accounting violations (a
-// release with no matching claim, which would drive the per-side count
-// negative and pin the pair in both footprints forever) panic instead of
-// being clamped. Tests flip it on so protocol bugs surface at the faulty
-// release, not as a mysterious grouping regression later.
-var claimStrict = false
-
-// releaseClaim drops req's pair claim (request completion or failure) and
-// records the release epoch — the anchor adaptive decay counts its window
-// from (see Rank.pairIdle).
-func (r *Rank) releaseClaim(req *Request) {
-	if !req.hasClaim {
-		return
-	}
-	req.hasClaim = false
-	ps := r.w.pair(r.rank, req.claimPeer)
-	si := ps.side(r.rank)
-	if ps.claims[si] <= 0 {
-		if claimStrict {
-			panic(fmt.Sprintf("mpi: rank %d released pair %d<->%d with no outstanding claim",
-				r.rank, ps.lo, ps.hi))
-		}
-		return
-	}
-	ps.claims[si]--
-	ps.lastEpoch[si] = r.w.Eng.EpochID()
-}
-
-// ensureSerial permanently collapses the world to sequential dispatch: every
-// rank's footprint reads Global from the next epoch on. Used by the rare
-// operations that share job-global tables (communicator context allocation,
-// RMA window exchange) where per-pair claims cannot express the dependency.
-// The caller still holds only its own group's resources this epoch, so it
-// yields until its group owns Global.
-func (r *Rank) ensureSerial() {
-	if !r.w.parallel {
-		return
-	}
-	r.w.serial.Store(true)
-	if !r.p.CanTouch(sim.Global) {
-		r.p.YieldRegroup()
-	}
-}
-
 // crossSocket reports whether r and peer are pinned to different sockets
 // (memcpy and CMA bandwidths differ across the QPI link).
 func (r *Rank) crossSocket(peer int) bool {
@@ -521,9 +288,7 @@ func (r *Rank) crossSocket(peer int) bool {
 
 // trace emits one structured trace record when the world has a trace
 // consumer (Options.Trace or Options.Record). Records ride the engine's
-// emitter: buffered per epoch group and flushed at the barrier in
-// deterministic (t, group, seq) commit order, so tracing never perturbs —
-// and is never perturbed by — parallel dispatch.
+// emitter, in dispatch order.
 func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int, seq uint64) {
 	if !r.w.tracing {
 		return

@@ -161,10 +161,8 @@ func TestRecoverableGoldenWorkload(t *testing.T) {
 }
 
 // TestRecoveryDeterminism runs the checkpoint-bearing golden workload — fault
-// free (which may start under epoch-parallel dispatch and must collapse at
-// the checkpoint barrier) and with a crash plus respawn recovery — at every
-// dispatch width, and requires byte-identical results, reports, and
-// checkpoint artifacts.
+// free and with a crash plus respawn recovery — twice each, and requires
+// byte-identical results, reports, and checkpoint artifacts.
 func TestRecoveryDeterminism(t *testing.T) {
 	// Measure the fault-free runtime once so the crash lands mid-run, after
 	// the first checkpoint.
@@ -182,13 +180,12 @@ func TestRecoveryDeterminism(t *testing.T) {
 		snap    []byte
 		errText string
 	}
-	run := func(workers int, crash bool) outcome {
+	run := func(crash bool) outcome {
 		opts := DefaultOptions()
 		if crash {
 			opts.FaultPlan = fault.NewPlan().RankCrash(3, crashAt)
 		}
 		w := testWorld(t, "2host", 16, opts)
-		w.Eng.SetWorkers(workers)
 		var o outcome
 		o.resumed = -1
 		store := rec.NewStore()
@@ -211,30 +208,28 @@ func TestRecoveryDeterminism(t *testing.T) {
 			name = "crash-respawn"
 		}
 		t.Run(name, func(t *testing.T) {
-			want := run(1, crash)
+			want := run(crash)
 			if want.errText != "" {
-				t.Fatalf("width-1 run failed: %s", want.errText)
+				t.Fatalf("first run failed: %s", want.errText)
 			}
 			if want.snap == nil {
-				t.Fatal("width-1 run committed no checkpoint")
+				t.Fatal("first run committed no checkpoint")
 			}
-			for _, workers := range []int{2, 4, 8} {
-				got := run(workers, crash)
-				if !reflect.DeepEqual(got.final, want.final) {
-					t.Errorf("workers=%d: final array differs from sequential dispatch", workers)
-				}
-				if got.resumed != want.resumed {
-					t.Errorf("workers=%d: resumed from %d, want %d", workers, got.resumed, want.resumed)
-				}
-				if !reflect.DeepEqual(got.report, want.report) {
-					t.Errorf("workers=%d: report %+v, want %+v", workers, got.report, want.report)
-				}
-				if !bytes.Equal(got.snap, want.snap) {
-					t.Errorf("workers=%d: checkpoint artifact differs from sequential dispatch", workers)
-				}
-				if got.errText != want.errText {
-					t.Errorf("workers=%d: error %q, want %q", workers, got.errText, want.errText)
-				}
+			got := run(crash)
+			if !reflect.DeepEqual(got.final, want.final) {
+				t.Error("final array differs between runs")
+			}
+			if got.resumed != want.resumed {
+				t.Errorf("resumed from %d, first run from %d", got.resumed, want.resumed)
+			}
+			if !reflect.DeepEqual(got.report, want.report) {
+				t.Errorf("report %+v, first run %+v", got.report, want.report)
+			}
+			if !bytes.Equal(got.snap, want.snap) {
+				t.Error("checkpoint artifact differs between runs")
+			}
+			if got.errText != want.errText {
+				t.Errorf("error %q, first run %q", got.errText, want.errText)
 			}
 		})
 	}
@@ -242,17 +237,16 @@ func TestRecoveryDeterminism(t *testing.T) {
 
 // TestRecoverErrorOrderDeterminism crashes two ranks with no restart budget
 // and requires the aggregated job error — victim CrashErrors interleaved with
-// survivor body errors — to come out identically at every dispatch width
-// (rank-sorted, because the aggregate is built from the rank-indexed slice).
+// survivor body errors — to come out identically run to run (rank-sorted,
+// because the aggregate is built from the rank-indexed slice).
 func TestRecoverErrorOrderDeterminism(t *testing.T) {
-	run := func(workers int) string {
+	run := func() string {
 		opts := DefaultOptions()
 		opts.ErrHandler = ErrorsRecover
 		opts.FaultPlan = fault.NewPlan().
 			RankCrash(1, 10*sim.Microsecond).
 			RankCrash(6, 15*sim.Microsecond)
 		w := testWorld(t, "native", 8, opts)
-		w.Eng.SetWorkers(workers)
 		err := w.Run(func(r *Rank) error {
 			r.Compute(5000)
 			r.Barrier()
@@ -266,11 +260,9 @@ func TestRecoverErrorOrderDeterminism(t *testing.T) {
 		}
 		return err.Error()
 	}
-	want := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := run(workers); got != want {
-			t.Errorf("workers=%d: aggregate error\n%q\nwant\n%q", workers, got, want)
-		}
+	want := run()
+	if got := run(); got != want {
+		t.Errorf("aggregate error\n%q\nfirst run\n%q", got, want)
 	}
 }
 

@@ -23,11 +23,8 @@ package mpi
 // rack-hierarchical reduce/exchange/bcast. ScaleAuto picks by layout, like
 // autoAllreduce picks by size and locality.
 //
-// Determinism: rank machines declare no footprints and all deliveries are
-// untagged callbacks, so the engine always uses the sequential dispatch loop
-// — results are independent of CMPI_SIM_WORKERS, and identical between the
-// flat and goroutine engines (the machines are the same code; only the
-// execution substrate changes).
+// Determinism: results are identical between the flat and goroutine engines
+// (the machines are the same code; only the execution substrate changes).
 
 import (
 	"fmt"

@@ -122,27 +122,22 @@ func TestTraceEmitsChannelDecisions(t *testing.T) {
 			t.Errorf("trace missing %q:\n%s", want, out)
 		}
 	}
-	// Determinism: re-running yields the identical trace, at every epoch
-	// dispatch width (tracing no longer forces the sequential loop).
-	for _, workers := range []int{1, 2, 4, 8} {
-		var sb2 strings.Builder
-		opts.Trace = &sb2
-		w2 := testWorld(t, "2cont", 2, opts)
-		w2.Eng.SetWorkers(workers)
-		if err := w2.Run(func(r *Rank) error {
-			if r.Rank() == 0 {
-				r.Send(1, 3, make([]byte, 64))
-				r.Send(1, 4, make([]byte, 1<<20))
-			} else {
-				r.Recv(0, 3, make([]byte, 64))
-				r.Recv(0, 4, make([]byte, 1<<20))
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	// Determinism: re-running yields the identical trace.
+	var sb2 strings.Builder
+	opts.Trace = &sb2
+	if err := testWorld(t, "2cont", 2, opts).Run(func(r *Rank) error {
+		if r.Rank() == 0 {
+			r.Send(1, 3, make([]byte, 64))
+			r.Send(1, 4, make([]byte, 1<<20))
+		} else {
+			r.Recv(0, 3, make([]byte, 64))
+			r.Recv(0, 4, make([]byte, 1<<20))
 		}
-		if sb.String() != sb2.String() {
-			t.Errorf("workers=%d: trace output is not deterministic", workers)
-		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != sb2.String() {
+		t.Error("trace output is not deterministic")
 	}
 }

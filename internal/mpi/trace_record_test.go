@@ -54,9 +54,10 @@ func tracedWorkload(r *Rank) error {
 	return nil
 }
 
-// runTracedJob records tracedWorkload at one dispatch width and returns the
-// streamed structured trace bytes, the legacy line output, and the world.
-func runTracedJob(t *testing.T, workers int) ([]byte, string, *World) {
+// runTracedJob records tracedWorkload, with plan attached when non-nil, and
+// returns the streamed structured trace bytes, the legacy line output, and
+// the world.
+func runTracedJob(t *testing.T, plan *fault.Plan) ([]byte, string, *World) {
 	t.Helper()
 	var stream bytes.Buffer
 	var legacy strings.Builder
@@ -64,31 +65,32 @@ func runTracedJob(t *testing.T, workers int) ([]byte, string, *World) {
 	opts.Profile = true
 	opts.Trace = &legacy
 	opts.Record = trace.NewRecorder(&stream)
+	opts.FaultPlan = plan
 	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(workers)
 	if err := w.Run(tracedWorkload); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	if err := opts.Record.Err(); err != nil {
-		t.Fatalf("workers=%d: recorder: %v", workers, err)
+		t.Fatalf("recorder: %v", err)
 	}
 	return stream.Bytes(), legacy.String(), w
 }
 
-// TestTraceByteIdenticalAcrossWidths is the tentpole invariant: recording a
-// trace no longer degrades the world to sequential dispatch, and the
-// recorded bytes — structured stream and legacy lines alike — are identical
-// at every CMPI_SIM_WORKERS width.
+// TestTraceByteIdenticalAcrossWidths checks that the recorded bytes —
+// structured stream and legacy lines alike — are a function of the job
+// alone: a second run, and a run with an empty fault plan attached, record
+// exactly what the first did. (The widths of the name were the in-world
+// dispatch widths, now gone: every world runs the one sequential loop.)
 func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
-	baseStream, baseLegacy, baseW := runTracedJob(t, 1)
-	if !baseW.parallel {
-		t.Fatal("traced world fell back to the sequential loop; the trace serial gate is back")
-	}
+	baseStream, baseLegacy, _ := runTracedJob(t, nil)
 	if len(baseStream) == 0 || len(baseLegacy) == 0 {
 		t.Fatal("no trace output recorded")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		stream, legacy, w := runTracedJob(t, workers)
+	for _, run := range []struct {
+		name string
+		plan *fault.Plan
+	}{{"rerun", nil}, {"empty plan", &fault.Plan{}}} {
+		stream, legacy, _ := runTracedJob(t, run.plan)
 		if !bytes.Equal(stream, baseStream) {
 			a, err1 := trace.Read(bytes.NewReader(baseStream))
 			b, err2 := trace.Read(bytes.NewReader(stream))
@@ -96,15 +98,10 @@ func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
 			if err1 == nil && err2 == nil {
 				detail = trace.Diff(a, b)
 			}
-			t.Errorf("workers=%d: structured trace differs from width 1:\n%s", workers, detail)
+			t.Errorf("%s: structured trace differs from the first run:\n%s", run.name, detail)
 		}
 		if legacy != baseLegacy {
-			t.Errorf("workers=%d: legacy trace lines differ from width 1", workers)
-		}
-		if workers > 1 {
-			if st := w.SimStats(); st.ParallelBatches == 0 {
-				t.Errorf("workers=%d: ParallelBatches = 0; tracing must not suppress epoch dispatch", workers)
-			}
+			t.Errorf("%s: legacy trace lines differ from the first run", run.name)
 		}
 	}
 }
@@ -113,7 +110,7 @@ func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
 // per-rank channel counters reconstructed from the trace alone equal the live
 // profiler's, exactly, without running any world.
 func TestReplayReconstructsProfile(t *testing.T) {
-	stream, _, w := runTracedJob(t, 4)
+	stream, _, w := runTracedJob(t, nil)
 	tr, err := trace.Read(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
@@ -162,9 +159,6 @@ func TestReplayReconstructsFaultCounters(t *testing.T) {
 		return w, tr
 	}
 	w, tr := run()
-	if w.parallel {
-		t.Fatal("fault-injected world must stay on the sequential loop")
-	}
 	s := trace.Replay(tr)
 	faults := w.Prof.TotalFaults()
 	if s.ShmFallbacks != faults.ShmFallbacks {
@@ -187,7 +181,7 @@ func TestReplayReconstructsFaultCounters(t *testing.T) {
 // legacy writer's output must equal the concatenated LegacyLine renderings of
 // the structured records, so the two views can never drift apart.
 func TestLegacyTraceMatchesRecordRendering(t *testing.T) {
-	_, legacy, w := runTracedJob(t, 2)
+	_, legacy, w := runTracedJob(t, nil)
 	var sb strings.Builder
 	for _, rec := range w.Opts.Record.Trace().Records {
 		sb.WriteString(rec.LegacyLine())

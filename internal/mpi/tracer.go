@@ -5,7 +5,6 @@ import (
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/ib"
-	"cmpi/internal/sim"
 	"cmpi/internal/trace"
 )
 
@@ -32,23 +31,22 @@ func (w *World) installTracer() {
 			}
 		}
 	})
-	// Substrate fault events (retransmissions, QP breaks, attach vetoes) only
-	// fire in fault-injected worlds, which run the sequential loop — so these
-	// hooks may emit from engine callbacks without a Proc context and still
-	// land in dispatch order.
+	// Substrate fault events (retransmissions, QP breaks, attach vetoes) fire
+	// from engine callbacks without a Proc context; they still land in
+	// dispatch order.
 	w.fabric.SetTrace(func(ev ib.TraceEvent) {
 		op := trace.OpRetransmit
 		if ev.Kind == ib.TraceQPBreak {
 			op = trace.OpQPBreak
 		}
-		w.Eng.EmitAt(ev.T, sim.Global, trace.Record{
+		w.Eng.Emit(trace.Record{
 			T: ev.T, Op: op, Path: trace.PathNone,
 			Rank: -1, Peer: ev.Host, Aux: uint64(ev.Retries),
 		})
 	})
 	w.shm.SetAttachTrace(func(env *cluster.Container, name string) {
 		t := w.Eng.Now()
-		w.Eng.EmitAt(t, sim.Global, trace.Record{
+		w.Eng.Emit(trace.Record{
 			T: t, Op: trace.OpAttachFail, Path: trace.PathNone,
 			Rank: -1, Peer: env.Host.Index,
 		})

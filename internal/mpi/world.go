@@ -43,8 +43,7 @@ type World struct {
 
 	// Recovery state (ErrorsRecover / RunRecoverable). crashed marks ranks
 	// that died; crashGen increments on every new death so survivors can reap
-	// lazily (Rank.failDeadOps). All of it is touched only in engine context:
-	// fault worlds always run the sequential dispatch loop.
+	// lazily (Rank.failDeadOps).
 	crashed  []bool
 	crashGen uint64
 	// ck is the coordinated-checkpoint barrier state (ckpt.go).
@@ -67,10 +66,8 @@ type World struct {
 
 	// pairTab holds every rank pair's connection state by triangular index.
 	// An entry is created on first use — most pairs of a large world never
-	// talk — and published by compare-and-swap, so ranks running in
-	// concurrent epoch groups may race to create the same pair. Each entry's
-	// fields are touched only by groups owning one of the pair's rank
-	// resources.
+	// talk — and published by compare-and-swap, so concurrent first callers
+	// all get the one entry.
 	pairTab    []atomic.Pointer[pairShared]
 	winTable   map[int]*winExchange
 	detLock    map[*cluster.Host]sim.Time // per-host lock free-time (LockedDetector ablation)
@@ -79,31 +76,10 @@ type World struct {
 	bodyStart, bodyEnd []sim.Time
 	ran                bool
 
-	// parallel is set in Run when this world installs rank footprints for
-	// the engine's conservative epoch dispatch: everything except fault
-	// injection qualifies (the injector's plan queries mutate shared state
-	// on every channel decision, so those worlds stay sequential).
-	parallel bool
 	// tracing is set in Run when a trace consumer is installed (the legacy
 	// Options.Trace line writer or the structured Options.Record); rank
 	// hooks check it before building records.
 	tracing bool
-	// serial flips (sticky) when a rank touches job-global tables that the
-	// claim protocol does not cover — communicator context ids, RMA window
-	// exchange. Every footprint collapses to Global at the next epoch.
-	serial atomic.Bool
-	// decay is the resolved footprint decay window in epochs (0 = legacy
-	// sticky footprints); see Options.FootprintDecay and Rank.footprint.
-	decay int
-
-	// spineTab lists, per host pair (triangular index over hosts), the
-	// epoch-dispatch resource ids of every spine switch the fabric's static
-	// ECMP routes between the two hosts can book (both directions). Built
-	// once in NewWorld from the topology — a pure function of host racks —
-	// so footprint enumeration at epoch formation reads only immutable
-	// state. Nil for trivial topologies; nil entries for same-rack pairs.
-	spineTab [][]sim.Res
-
 	// coResFrac caches the deployment's co-resident rank-pair fraction for
 	// the collective algorithm selector (coResidentFraction). Computed once
 	// from Deploy ground truth — never from per-rank capability tables,
@@ -138,7 +114,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		rankErrs:   make([]error, d.Size()),
 		crashed:    make([]bool, d.Size()),
 		shrinks:    make(map[int]*shrinkSync),
-		decay:      resolveFootprintDecay(opts.FootprintDecay),
 	}
 	n := d.Size()
 	w.pairTab = make([]atomic.Pointer[pairShared], n*(n-1)/2)
@@ -154,24 +129,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
 		return nil, err
-	}
-	if !opts.Topology.Trivial() {
-		hosts := d.Cluster.Spec.Hosts
-		w.spineTab = make([][]sim.Res, hosts*(hosts-1)/2)
-		var hops []int
-		for hi := 1; hi < hosts; hi++ {
-			for lo := 0; lo < hi; lo++ {
-				hops = w.fabric.SpineHops(lo, hi, hops[:0])
-				if len(hops) == 0 {
-					continue // same rack: never leaves the leaf switch
-				}
-				rs := make([]sim.Res, len(hops))
-				for i, id := range hops {
-					rs[i] = w.resSpine(id)
-				}
-				w.spineTab[pairIdx(lo, hi)] = rs
-			}
-		}
 	}
 	inj, err := fault.NewInjector(opts.FaultPlan, d.Cluster.Spec.Hosts, d.Size())
 	if err != nil {
@@ -214,22 +171,9 @@ func (w *World) Run(body func(r *Rank) error) error {
 	if w.tracing {
 		w.installTracer()
 	}
-	// Epoch dispatch engages for every world with no observer of global event
-	// order — at any width, including one. Group formation is decided by event
-	// times and footprints alone, so a width-1 run executes the exact same
-	// groups (serially, in group-index order) as a width-N run: worker count
-	// can never change simulated results. The fault injector's queries mutate
-	// shared plan state, so those worlds run the classic sequential loop
-	// (which also keeps Eng.Now()-based fault timestamps exact). Tracing does
-	// NOT serialize: records ride the engine's emitter, buffered per epoch
-	// group and flushed in deterministic (t, group, seq) commit order.
-	// Non-trivial fabric topologies do not serialize either: every spine
-	// switch a cross-rack pair's ECMP routes can book is a declared resource
-	// (resSpine) in both ranks' footprints, so groups sharing a spine merge.
-	w.parallel = w.inj == nil
 	for i := range w.ranks {
 		r := w.ranks[i]
-		p := w.Eng.Go(fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
+		w.Eng.Go(fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
 			r.p = p
 			if at, ok := w.inj.CrashTime(r.rank); ok {
 				r.hasCrash, r.crashAt = true, at
@@ -247,10 +191,6 @@ func (w *World) Run(body func(r *Rank) error) error {
 				p.Fatalf("MPI_Init: %v", err)
 			}
 			w.pmiBarrier(r)
-			// Init shares job-global state (PMI, detector segment, device
-			// discovery); only past this barrier does the rank's footprint
-			// narrow from Global to its claimed pairs.
-			r.parallelReady = true
 			if w.restored != nil {
 				w.restoreRank(r)
 			}
@@ -266,10 +206,6 @@ func (w *World) Run(body func(r *Rank) error) error {
 			}
 			r.finalizeCheck()
 		})
-		if w.parallel {
-			p.SetRes(w.resRank(r.rank))
-			p.SetFootprint(r.footprint)
-		}
 	}
 	return w.finishRun(w.Eng.Run())
 }
@@ -283,7 +219,7 @@ func (w *World) finishRun(engErr error) error {
 	var errs []error
 	// rankErrs is indexed by rank, so iterating it in order makes the joined
 	// error rank-sorted regardless of the virtual-time order the failures were
-	// recorded in — the aggregate is identical at every dispatch width.
+	// recorded in.
 	for _, re := range w.rankErrs {
 		if re != nil {
 			errs = append(errs, re)
@@ -352,8 +288,7 @@ func (w *World) failRank(r *Rank, cause error) {
 // markCrashed flags a dead rank and propagates the observation: every live
 // rank is woken so its next waitUntil iteration reaps operations bound to the
 // casualty, any in-progress Comm.Shrink agreements re-evaluate their member
-// sets, and an in-flight checkpoint barrier aborts. Runs in engine context
-// (fault worlds are always sequential), so plain field writes are safe.
+// sets, and an in-flight checkpoint barrier aborts.
 func (w *World) markCrashed(r *Rank) {
 	if w.crashed[r.rank] {
 		return
@@ -422,17 +357,11 @@ func (w *World) SimStats() profile.SimStats {
 // are filled in by the caller, which knows where its pools live).
 func simStatsOf(es sim.Stats) profile.SimStats {
 	s := profile.SimStats{
-		Dispatched:      es.Dispatched,
-		StaleWakes:      es.StaleWakes,
-		CoalescedWakes:  es.CoalescedWakes,
-		MaxHeapDepth:    es.MaxHeapDepth,
-		ParallelBatches: es.ParallelBatches,
-		MaxBatchWidth:   es.MaxBatchWidth,
-		BarrierStalls:   es.BarrierStalls,
-		RegroupYields:   es.RegroupYields,
-		NarrowedPairs:   es.NarrowedPairs,
-		PhaseRewidens:   es.PhaseRewidens,
-		PeakProcBytes:   es.PeakProcBytes,
+		Dispatched:     es.Dispatched,
+		StaleWakes:     es.StaleWakes,
+		CoalescedWakes: es.CoalescedWakes,
+		MaxHeapDepth:   es.MaxHeapDepth,
+		PeakProcBytes:  es.PeakProcBytes,
 	}
 	if es.ArenaSlots > 0 {
 		s.ArenaUtilization = float64(es.ArenaPeakLive) / float64(es.ArenaSlots)
@@ -500,9 +429,7 @@ func (w *World) pmiArrive(r *Rank) (gen int, released bool) {
 }
 
 // pairShared is the per-pair connection state, created on first use in
-// World.pairTab. Under epoch dispatch an entry is only touched from groups
-// owning at least one of the pair's rank resources, and any cross-rank access
-// is covered by the claim protocol (Rank.claimPair).
+// World.pairTab.
 type pairShared struct {
 	lo, hi int
 	ring   *shmRing
@@ -515,43 +442,8 @@ type pairShared struct {
 	// degrade to SHM streaming.
 	cmaDead bool
 
-	// claims counts each side's in-flight requests that may touch the peer
-	// rank's state (indexed by side). While either count is non-zero both
-	// ranks' footprints keep the pair merged into one epoch group.
-	claims [2]int
-	// lastEpoch records, per side, the engine epoch of that side's most
-	// recent claim or release — the anchor adaptive footprint decay counts
-	// its window from (Rank.footprint). Per-side words, written only by the
-	// owning side during execution and read at formation.
-	lastEpoch [2]uint64
-	// hca records, per side, that the pair has used the HCA channel: the
-	// footprint then also spans both hosts' port resources (fabric events
-	// and device pools). Per-side bools so concurrent groups never write
-	// the same word.
-	hca [2]bool
-	// listed marks, per side, that the pair is on that rank's touchedPairs
-	// list (footprint enumeration).
-	listed [2]bool
-	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID
-	// (sharded from the old job-global table so concurrent pairs never
-	// share a map).
+	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID.
 	rndv map[uint64]*rndvState
-}
-
-// side maps a member rank to its claims/hca/listed index.
-func (ps *pairShared) side(rank int) int {
-	if rank == ps.hi {
-		return 1
-	}
-	return 0
-}
-
-// other returns the pair member that is not rank.
-func (ps *pairShared) other(rank int) int {
-	if rank == ps.lo {
-		return ps.hi
-	}
-	return ps.lo
 }
 
 // shmDead reports whether the pair's shared-memory ring is unusable.
@@ -566,8 +458,7 @@ func pairIdx(a, b int) int {
 }
 
 // pair returns the shared state for a rank pair, creating it on first use.
-// Both ranks of a pair may ask first from concurrent epoch groups: the
-// compare-and-swap keeps one fresh entry, which is all either could see.
+// The compare-and-swap keeps one fresh entry when callers race to create it.
 func (w *World) pair(a, b int) *pairShared {
 	slot := &w.pairTab[pairIdx(a, b)]
 	if ps := slot.Load(); ps != nil {
@@ -579,30 +470,6 @@ func (w *World) pair(a, b int) *pairShared {
 	}
 	slot.CompareAndSwap(nil, &pairShared{lo: lo, hi: hi})
 	return slot.Load()
-}
-
-// resRank is the epoch-dispatch resource id for a rank's private state.
-func (w *World) resRank(rank int) sim.Res { return sim.Res(1 + rank) }
-
-// resHost is the resource id for a host's fabric port and device pools.
-func (w *World) resHost(host int) sim.Res { return sim.Res(1 + len(w.ranks) + host) }
-
-// resSpine is the resource id for one fabric spine switch's next-free word
-// (ib.Topology ECMP contention state), identified by its stage-major index
-// (stage*SpinesPerStage + idx). Spine ids sit above the rank and host ranges.
-func (w *World) resSpine(spine int) sim.Res {
-	return sim.Res(1 + len(w.ranks) + w.Deploy.Cluster.Spec.Hosts + spine)
-}
-
-// spineRes lists the spine-switch resources the fabric routes between two
-// hosts can book; empty unless the topology is non-trivial and the hosts sit
-// in different racks. Read-only after NewWorld — safe from any epoch group
-// and from footprint callbacks at formation.
-func (w *World) spineRes(hostA, hostB int) []sim.Res {
-	if w.spineTab == nil || hostA == hostB {
-		return nil
-	}
-	return w.spineTab[pairIdx(hostA, hostB)]
 }
 
 // qpFor returns r's QP to peer, establishing the RC connection on demand

@@ -167,8 +167,8 @@ func TestLocalRanksMatchesModeView(t *testing.T) {
 }
 
 // TestPairCreatedOnceUnderConcurrentFirstUse pins the lazily filled pair
-// table: both ranks of a pair may ask for it first from concurrent epoch
-// groups, and every caller must get the one entry, keyed (lo, hi).
+// table: concurrent first callers, asking with either rank order, must all
+// get the one entry, keyed (lo, hi).
 func TestPairCreatedOnceUnderConcurrentFirstUse(t *testing.T) {
 	w := testWorld(t, "2cont", 8, DefaultOptions())
 	const callers = 4

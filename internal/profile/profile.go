@@ -128,26 +128,6 @@ type SimStats struct {
 	CoalescedWakes uint64
 	// MaxHeapDepth is the event queue's high-water mark.
 	MaxHeapDepth int
-	// ParallelBatches is the number of epochs formed by the engine's
-	// conservative parallel dispatch (zero on the sequential loop).
-	ParallelBatches uint64
-	// MaxBatchWidth is the widest epoch: the most causally independent
-	// groups dispatched concurrently. Identical for any worker count.
-	MaxBatchWidth int
-	// BarrierStalls counts groups queued behind the worker pool — the one
-	// counter that depends on the configured worker count.
-	BarrierStalls uint64
-	// RegroupYields counts processes that yielded mid-epoch to widen their
-	// footprint (claiming a pair their group did not own yet).
-	RegroupYields uint64
-	// NarrowedPairs counts pairs dropped from rank footprints by adaptive
-	// decay (quiescent past their decay window) — each drop is a chance for
-	// the next epoch to split into more concurrent groups.
-	NarrowedPairs uint64
-	// PhaseRewidens counts epochs whose regroup-yield storm tripped the
-	// phase-change detector, retiring stale footprints eagerly so the new
-	// communication pattern re-widens without waiting out the decay window.
-	PhaseRewidens uint64
 	// PeakProcBytes is the engine's accounting of peak live per-process
 	// overhead: facade plus machine state for flat procs, plus the goroutine
 	// stack/descriptor/channel floor for goroutine-backed ones. Deterministic

@@ -65,10 +65,7 @@ type AttachFaultHook func(env *cluster.Container, name string) error
 type AttachTraceHook func(env *cluster.Container, name string)
 
 // Registry is the kernel-side table of shared segments, one per simulation.
-// The table itself is mutex-protected: under the engine's parallel epoch
-// dispatch, independent rank pairs may attach distinct segments concurrently
-// (segment contents are still only touched by ranks whose footprints cover
-// them, so the contents need no lock).
+// The table is safe for concurrent use; segment contents are not locked.
 type Registry struct {
 	mu          sync.Mutex
 	segs        map[segKey]*Segment

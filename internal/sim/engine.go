@@ -2,26 +2,17 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Engine is a discrete-event scheduler. Simulated processes are goroutines,
-// but the engine hands control only to processes whose pending events it has
-// dispatched, always in deterministic (virtual time, sequence) order, so every
-// simulated result is reproducible and data-race-free.
-//
-// By default dispatch is fully sequential. When processes declare resource
-// footprints (Proc.SetFootprint) or callbacks carry resource tags (AtRes,
-// AtArg), the engine switches to conservative epoch dispatch (see epoch.go):
-// pending events are partitioned into causally independent groups which run
-// concurrently on a worker pool bounded by SetWorkers, with results —
-// including Stats counters — byte-identical for any worker count.
+// Engine is a discrete-event scheduler. Simulated processes are goroutines
+// (or flat machines, see flat.go), but the engine hands control only to
+// processes whose pending events it has dispatched, one event at a time in
+// deterministic (virtual time, sequence) order, so every simulated result is
+// reproducible and data-race-free. Sequential (t, seq) dispatch is the
+// engine's one semantics: there is no other loop.
 //
 // Typical use:
 //
@@ -35,32 +26,10 @@ type Engine struct {
 	now   Time
 	procs []*Proc
 
-	stopped   atomic.Bool
-	failMu    sync.Mutex
-	failure   error
-	failureAt Time
+	stopped bool
+	failure error
 
 	stats Stats
-
-	// Parallel dispatch state (epoch.go).
-	workers      int
-	anyFootprint bool
-	// ep is the reused epoch bookkeeping; epoch points at it only while an
-	// epoch's groups execute (nil in scheduler context and sequential runs).
-	ep            epochState
-	epoch         *epochState
-	epochID       uint64
-	epochDepthMax int
-	// phaseShift is raised at commit when an epoch's regroup yields crossed
-	// the storm threshold — a communication-pattern switch — and consumed by
-	// the next formation, where footprints may retire stale state eagerly
-	// (PhaseShift). Written and read only in scheduler context.
-	phaseShift bool
-	// pool is the persistent epoch worker pool (nil until the first epoch
-	// wider than one group); poolSize counts its live goroutines.
-	pool     chan *epochWork
-	poolSize int
-	poolWork *epochWork
 
 	// Flat machine execution state (flat.go): flat selects the mode for
 	// GoMachine spawns, arena holds flat procs in fixed-capacity slabs,
@@ -72,9 +41,7 @@ type Engine struct {
 	liveProcBytes uint64
 
 	// emit, when installed, receives observer payloads (trace records) in
-	// deterministic order: dispatch order under the sequential loop, commit
-	// order — (t, group index, group-local seq), flushed at each epoch
-	// barrier — under epoch dispatch. Identical for any worker count.
+	// dispatch order.
 	emit func(payload any)
 
 	// quiesce holds one-shot callbacks to run the next time the event queue
@@ -85,13 +52,11 @@ type Engine struct {
 }
 
 // Stats counts scheduler activity, for capacity planning and engine
-// benchmarks. Under epoch dispatch every counter is commit-ordered — group
-// counters merge at each epoch barrier in group-index order — so the whole
-// struct is identical for any worker count.
+// benchmarks.
 type Stats struct {
 	// Dispatched is the number of events popped and handled.
 	Dispatched uint64
-	// Callbacks is the subset that were scheduler callbacks (At/AtRes/AtArg).
+	// Callbacks is the subset that were scheduler callbacks (At/AtArg).
 	Callbacks uint64
 	// Resumes is the subset that handed control to a process.
 	Resumes uint64
@@ -101,40 +66,34 @@ type Stats struct {
 	// the queue because an identical-time wake was already pending (or the
 	// target process had finished).
 	CoalescedWakes uint64
-	// MaxHeapDepth is the high-water mark of the pending-event queue
-	// (under epoch dispatch: global heap, or the per-epoch sum of group
-	// heaps, whichever is larger).
+	// MaxHeapDepth is the high-water mark of the pending-event queue.
 	MaxHeapDepth int
-	// ParallelBatches is the number of epochs formed by parallel dispatch
-	// (zero under the legacy sequential loop).
+	// ParallelBatches always reads zero.
+	//
+	// Deprecated: epoch dispatch is gone; kept so existing readers compile.
 	ParallelBatches uint64
-	// MaxBatchWidth is the widest epoch: the maximum number of causally
-	// independent groups dispatched concurrently. Determined entirely at
-	// formation, so identical for any worker count.
+	// MaxBatchWidth always reads zero.
+	//
+	// Deprecated: epoch dispatch is gone; kept so existing readers compile.
 	MaxBatchWidth int
-	// BarrierStalls counts groups that had to queue behind the worker pool
-	// (epoch width exceeding the worker count). A host-side saturation
-	// diagnostic: it depends on the configured worker count (never on worker
-	// scheduling), unlike every other counter, which is width-independent.
+	// BarrierStalls always reads zero.
+	//
+	// Deprecated: epoch dispatch is gone; kept so existing readers compile.
 	BarrierStalls uint64
-	// RegroupYields counts processes that yielded out of an epoch because
-	// they claimed a resource their group did not own (Proc.YieldRegroup).
-	// A burst of them in one epoch signals a communication-pattern switch.
+	// RegroupYields always reads zero.
+	//
+	// Deprecated: epoch dispatch is gone; kept so existing readers compile.
 	RegroupYields uint64
-	// NarrowedPairs counts footprint entries retired by decay: each time a
-	// footprint callback drops a quiescent resource claim it reports the drop
-	// via AddNarrowed. Grouping is width-independent, so this is too.
+	// NarrowedPairs always reads zero.
+	//
+	// Deprecated: epoch dispatch is gone; kept so existing readers compile.
 	NarrowedPairs uint64
-	// PhaseRewidens counts epochs whose regroup-yield storm crossed the
-	// phase-change threshold, letting the next formation retire stale
-	// footprint state eagerly instead of waiting out the decay window.
-	PhaseRewidens uint64
 	// PeakProcBytes is the high-water mark of per-process overhead bytes, as
 	// accounted by the engine: the Proc facade plus machine state for flat
 	// procs, plus a goroutine stack/descriptor/channel floor for
 	// goroutine-backed ones (see flat.go). Deterministic — it counts data
-	// structures, not allocator behavior — so it is comparable across engines
-	// and identical for any dispatch width.
+	// structures, not allocator behavior — so it is comparable across
+	// engines.
 	PeakProcBytes uint64
 	// ArenaSlots is the total flat-proc arena capacity allocated (slots, not
 	// bytes); zero when no machine ran flat.
@@ -148,64 +107,28 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.MaxHeapDepth = e.pq.maxDepth
-	if e.epochDepthMax > s.MaxHeapDepth {
-		s.MaxHeapDepth = e.epochDepthMax
-	}
 	return s
 }
 
-// DefaultWorkers reports the dispatch width new engines start with: the
-// CMPI_SIM_WORKERS environment variable, else 1 (sequential). Width never
-// changes simulated results, only host wall-clock.
-func DefaultWorkers() int {
-	if s := os.Getenv("CMPI_SIM_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{workers: DefaultWorkers()}
-}
+func NewEngine() *Engine { return &Engine{} }
 
-// SetWorkers pins the epoch dispatch width; n <= 0 restores the default.
-// Call before Run.
-func (e *Engine) SetWorkers(n int) {
-	if n <= 0 {
-		n = DefaultWorkers()
-	}
-	e.workers = n
-}
+// SetWorkers does nothing: dispatch is always sequential.
+//
+// Deprecated: epoch dispatch is gone; kept so existing callers compile.
+func (e *Engine) SetWorkers(int) {}
 
-// Workers reports the configured dispatch width.
-func (e *Engine) Workers() int { return e.workers }
-
-// SetEmitter installs fn as the engine's emission sink (Proc.Emit, EmitAt).
-// Under epoch dispatch emissions are buffered per group and fn is called at
-// each epoch barrier in (t, group index, group-local seq) order — the same
-// deterministic order commitEpoch re-sequences events in — so the emission
-// stream is byte-identical for any worker count. fn runs in scheduler
-// context, never concurrently. Call before Run; nil removes the sink.
+// SetEmitter installs fn as the engine's emission sink (Proc.Emit, Emit).
+// fn is called synchronously, in dispatch order, from scheduler or process
+// context — never concurrently. Call before Run; nil removes the sink.
 func (e *Engine) SetEmitter(fn func(payload any)) { e.emit = fn }
 
-// EmitAt forwards payload to the installed emitter from contexts that have
-// no Proc (scheduler callbacks, substrate hooks). Under epoch dispatch the
-// caller must own res, exactly as for AtRes; under sequential dispatch the
-// payload is forwarded immediately in dispatch order.
-func (e *Engine) EmitAt(t Time, res Res, payload any) {
-	if e.emit == nil {
-		return
+// Emit forwards payload to the installed emitter from contexts that have no
+// Proc (scheduler callbacks, substrate hooks). A no-op without an emitter.
+func (e *Engine) Emit(payload any) {
+	if e.emit != nil {
+		e.emit(payload)
 	}
-	if e.epoch != nil {
-		g := e.groupFor(res)
-		g.seq++
-		g.emits = append(g.emits, emitRec{t: t, seq: g.seq, payload: payload})
-		return
-	}
-	e.emit(payload)
 }
 
 // AtQuiesce schedules fn to run in scheduler context the next time the event
@@ -220,7 +143,7 @@ func (e *Engine) EmitAt(t Time, res Res, payload any) {
 func (e *Engine) AtQuiesce(fn func()) { e.quiesce = append(e.quiesce, fn) }
 
 // popQuiesce fires the oldest pending quiesce callback, reporting whether one
-// ran. Called by both dispatch loops when the queue drains.
+// ran. Called by the dispatch loop when the queue drains.
 func (e *Engine) popQuiesce() bool {
 	if len(e.quiesce) == 0 {
 		return false
@@ -232,37 +155,15 @@ func (e *Engine) popQuiesce() bool {
 }
 
 // Now reports the engine's current virtual time: the time of the most
-// recently dispatched event (sequential loop) or the current epoch's floor —
-// the earliest event time in the epoch (epoch dispatch).
+// recently dispatched event.
 func (e *Engine) Now() Time { return e.now }
-
-// EpochID reports the current epoch's id (zero before the first epoch forms,
-// always zero under sequential dispatch). Written only in scheduler context
-// at formation, so reads from group execution are race-free and see the same
-// value in every group — footprint-decay anchors built on it are therefore
-// width-independent.
-func (e *Engine) EpochID() uint64 { return e.epochID }
-
-// PhaseShift reports whether the previous epoch ended in a regroup-yield
-// storm — a communication-pattern switch. Footprint callbacks (which run in
-// scheduler context at formation) may consult it to retire still-quiescent
-// claims eagerly instead of waiting out a decay window; the flag is cleared
-// once the epoch that consumed it is formed.
-func (e *Engine) PhaseShift() bool { return e.phaseShift }
-
-// AddNarrowed records n footprint entries retired by decay (Stats
-// NarrowedPairs). For use by footprint callbacks, which run in scheduler
-// context at epoch formation.
-func (e *Engine) AddNarrowed(n int) { e.stats.NarrowedPairs += uint64(n) }
 
 // Procs returns the processes spawned so far, in spawn order.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
 // At schedules fn to run in scheduler context at virtual time t. Scheduling
 // in the past is clamped to the current time (the event still runs after
-// every event already pending at that time, preserving causality). An
-// untagged callback touches Global: under epoch dispatch it serializes with
-// the global group.
+// every event already pending at that time, preserving causality).
 func (e *Engine) At(t Time, fn func()) {
 	e.schedule(event{t: t, fn: fn})
 }
@@ -277,45 +178,27 @@ func (e *Engine) AtBackground(t Time, fn func()) {
 	e.schedule(event{t: t, fn: fn, background: true})
 }
 
-// AtRes is At for callbacks that touch only the given resources, letting
-// epoch dispatch group them with the processes owning those resources
-// instead of serializing the world. The caller must own every listed
-// resource (at most 4) when scheduling from inside a run.
-func (e *Engine) AtRes(t Time, fn func(), res ...Res) {
-	ev := event{t: t, fn: fn}
-	ev.nres = uint8(copy(ev.res[:], res))
-	e.schedule(ev)
-}
-
-// AtArg is AtRes for the allocation-free form: a static callback plus a
+// AtArg is At for the allocation-free form: a static callback plus a
 // caller-pooled argument, avoiding the per-event closure.
-func (e *Engine) AtArg(t Time, fn func(any), arg any, res ...Res) {
-	ev := event{t: t, fnA: fn, arg: arg}
-	ev.nres = uint8(copy(ev.res[:], res))
-	e.schedule(ev)
+func (e *Engine) AtArg(t Time, fn func(any), arg any) {
+	e.schedule(event{t: t, fnA: fn, arg: arg})
 }
 
-// schedule routes a new callback event to the global heap, or — during epoch
-// execution — to the heap of the group owning its first resource.
+// schedule clamps a new callback event to the current time and queues it.
 func (e *Engine) schedule(ev event) {
-	if ep := e.epoch; ep != nil {
-		var first Res // Global when untagged
-		if ev.nres > 0 {
-			first = ev.res[0]
-		}
-		g := e.groupFor(first)
-		if ev.t < g.now {
-			ev.t = g.now
-		}
-		g.pushLocal(ev)
-		return
-	}
 	if ev.t < e.now {
 		ev.t = e.now
 	}
+	e.push(ev)
+}
+
+// push assigns the next sequence number to ev and queues it, returning the
+// sequence number.
+func (e *Engine) push(ev event) uint64 {
 	e.seq++
 	ev.seq = e.seq
 	e.pq.push(ev)
+	return e.seq
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
@@ -352,9 +235,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 		}()
 		body(p)
 	}()
-	e.seq++
-	p.timerSeq = e.seq
-	e.pq.push(event{t: e.now, seq: e.seq, proc: p, timer: true})
+	p.timerSeq = e.push(event{t: e.now, proc: p, timer: true})
 	return p
 }
 
@@ -364,18 +245,14 @@ type engineAbort struct{ err error }
 
 // Stop aborts the run after the current event completes. Pending events are
 // discarded; Run returns nil unless a failure was already recorded.
-func (e *Engine) Stop() { e.stopped.Store(true) }
+func (e *Engine) Stop() { e.stopped = true }
 
-// Fail aborts the run and makes Run return err. The first failure — by
-// virtual time under epoch dispatch — wins.
+// Fail aborts the run and makes Run return err. The first failure wins.
 func (e *Engine) Fail(err error) {
-	e.failMu.Lock()
 	if e.failure == nil {
 		e.failure = err
-		e.failureAt = e.now
 	}
-	e.failMu.Unlock()
-	e.stopped.Store(true)
+	e.stopped = true
 }
 
 // DeadlockError reports that the event queue drained while simulated
@@ -398,11 +275,7 @@ func (d *DeadlockError) Error() string {
 // processes remain blocked when the queue empties, the recorded error on
 // Fail or process panic, and nil otherwise.
 func (e *Engine) Run() error {
-	if e.anyFootprint {
-		e.runEpochs()
-	} else {
-		e.runSequential()
-	}
+	e.dispatch()
 	if e.failure != nil {
 		return e.failure
 	}
@@ -412,50 +285,59 @@ func (e *Engine) Run() error {
 			parked = append(parked, fmt.Sprintf("%s(%s,t=%v)", p.name, p.state, p.now))
 		}
 	}
-	if len(parked) > 0 && !e.stopped.Load() {
+	if len(parked) > 0 && !e.stopped {
 		sort.Strings(parked)
 		return &DeadlockError{Parked: parked, At: e.now}
 	}
 	return nil
 }
 
-// runSequential is the legacy dispatch loop, used when no process declares a
-// footprint: one event at a time, globally ordered. Identical behavior and
-// overhead to the engine before parallel dispatch existed.
-func (e *Engine) runSequential() {
-	for !e.stopped.Load() {
-		if e.pq.len() == e.pq.bg && e.popQuiesce() {
-			continue // quiescent: only background alarms (if any) remain
-		}
-		if e.pq.len() == 0 {
-			return
-		}
-		ev := e.pq.pop()
-		e.now = ev.t
-		e.stats.Dispatched++
-		if ev.isCallback() {
-			e.stats.Callbacks++
-			ev.invoke()
-			continue
-		}
-		p := ev.proc
-		if p != nil && !ev.timer && ev.t == p.lastWakeAt {
-			p.lastWakeLive = false // the coalescing anchor has left the queue
-		}
-		if p == nil || !p.wantsWake(ev) {
-			e.stats.StaleWakes++
-			continue // stale wake: the condition it signalled was already consumed
-		}
-		e.stats.Resumes++
-		if p.now < ev.t {
-			p.now = ev.t
-		}
-		e.resumeProc(p, nil)
-		if p.panicked != nil {
-			e.Fail(p.panicked)
-		}
-		if p.state == stateDone {
-			e.releaseProc(p, nil)
-		}
+// dispatch is the engine's one loop: run events in (t, seq) order until the
+// queue drains or the run stops.
+func (e *Engine) dispatch() {
+	for e.step() {
 	}
+}
+
+// step dispatches the earliest pending event — or, when only background
+// alarms remain, the oldest quiesce callback — and reports whether the run
+// goes on.
+func (e *Engine) step() bool {
+	if e.stopped {
+		return false
+	}
+	if e.pq.len() == e.pq.bg && e.popQuiesce() {
+		return true // quiescent: only background alarms (if any) remain
+	}
+	if e.pq.len() == 0 {
+		return false
+	}
+	ev := e.pq.pop()
+	e.now = ev.t
+	e.stats.Dispatched++
+	if ev.isCallback() {
+		e.stats.Callbacks++
+		ev.invoke()
+		return true
+	}
+	p := ev.proc
+	if p != nil && !ev.timer && ev.t == p.lastWakeAt {
+		p.lastWakeLive = false // the coalescing anchor has left the queue
+	}
+	if p == nil || !p.wantsWake(ev) {
+		e.stats.StaleWakes++
+		return true // stale wake: the condition it signalled was already consumed
+	}
+	e.stats.Resumes++
+	if p.now < ev.t {
+		p.now = ev.t
+	}
+	e.resumeProc(p)
+	if p.panicked != nil {
+		e.Fail(p.panicked)
+	}
+	if p.state == stateDone {
+		e.releaseProc(p)
+	}
+	return true
 }

@@ -469,3 +469,56 @@ func TestStatsTrackHeapDepth(t *testing.T) {
 		t.Errorf("max heap depth = %d, want 9", st.MaxHeapDepth)
 	}
 }
+
+// exchanger is one side of a synthetic pair exchange: side 0 wakes its peer
+// and sleeps, side 1 parks until woken. Runs forever.
+type exchanger struct {
+	peer *Proc
+	side int
+	d    Time
+}
+
+func (m *exchanger) Step(p *Proc) Flow {
+	if m.side == 1 {
+		p.Park()
+		return More
+	}
+	m.peer.UnparkAt(p.Now())
+	p.Sleep(m.d)
+	return More
+}
+
+// TestEpochLoopAllocationFree guards the dispatch loop's hot path: once a
+// steady 64-proc flat pair exchange has warmed up, popping an event, waking
+// or stepping its proc and queueing the follow-up events allocates nothing.
+// (The name predates the removal of epoch dispatch; the loop it guards is
+// the engine's only one.)
+func TestEpochLoopAllocationFree(t *testing.T) {
+	e := NewEngine()
+	e.SetFlat(true)
+	const procs = 64
+	ms := make([]*exchanger, procs)
+	ps := make([]*Proc, procs)
+	for i := range ms {
+		ms[i] = &exchanger{side: i % 2, d: Time(1+i%7) * Nanosecond}
+		ps[i] = e.GoMachine(fmt.Sprintf("x%d", i), ms[i])
+	}
+	for i := range ps {
+		ms[i].peer = ps[i^1]
+	}
+	for i := 0; i < 100*procs; i++ {
+		if !e.step() {
+			t.Fatal("exchange stopped during warm-up")
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < procs; i++ {
+			if !e.step() {
+				t.Fatal("exchange stopped")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state dispatch allocates %.1f times per %d events, want 0", allocs, procs)
+	}
+}

@@ -10,11 +10,11 @@ package sim
 //
 // A Machine is the flat alternative: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
-// channels, no stack — and the Proc facade (Sleep/Park/UnparkAt/SetRes/Emit)
-// works unchanged on top. One Step may invoke at most one blocking primitive
-// (Sleep, Park, Advance-that-would-yield is therefore forbidden — machine
-// Advance is always a pure clock bump — or YieldRegroup), and that call must
-// be the machine's last action before returning More: in flat mode the
+// channels, no stack — and the Proc facade (Sleep/Park/UnparkAt/Emit) works
+// unchanged on top. One Step may invoke at most one blocking primitive
+// (Sleep or Park; Advance-that-would-yield is therefore forbidden — machine
+// Advance is always a pure clock bump), and that call must be the machine's
+// last action before returning More: in flat mode the
 // primitive cannot suspend the caller, it only records where to resume, so
 // anything executed after it would run "before its time". Flat mode panics on
 // contract violations instead of silently diverging; the same machine run on
@@ -80,7 +80,7 @@ func FlatFromEnv(worldSize int) (bool, error) {
 }
 
 // SetFlat selects the execution mode for machines spawned after the call:
-// flat (arena-allocated, stepped directly by the dispatch loops) or goroutine
+// flat (arena-allocated, stepped directly by the dispatch loop) or goroutine
 // (each machine on its own trampoline goroutine, exactly like Go bodies).
 // Blocking Go bodies always use goroutines regardless of mode. Call before
 // spawning.
@@ -156,7 +156,7 @@ func machineTrampoline(p *Proc, m Machine) {
 }
 
 // runMachine steps a flat machine until it blocks or finishes. It is the flat
-// counterpart of the resume-handshake: called from the dispatch loops with
+// counterpart of the resume-handshake: called from the dispatch loop with
 // p.state == stateRunning, it returns with the process either blocked (a
 // primitive recorded the continuation) or done. Panics — including
 // Fatalf/Fail aborts — are converted to p.panicked exactly as the goroutine
@@ -185,12 +185,10 @@ func (p *Proc) runMachine() {
 }
 
 // resumeProc hands control to p until it blocks again: the channel handshake
-// for goroutine-backed procs, a direct runMachine call for flat ones. g is
-// the epoch group running the proc (nil under sequential dispatch). The
+// for goroutine-backed procs, a direct runMachine call for flat ones. The
 // caller checks p.panicked and releases the proc if it finished.
-func (e *Engine) resumeProc(p *Proc, g *execGroup) {
+func (e *Engine) resumeProc(p *Proc) {
 	p.state = stateRunning
-	p.group = g
 	if p.flat {
 		p.runMachine()
 		return
@@ -200,14 +198,11 @@ func (e *Engine) resumeProc(p *Proc, g *execGroup) {
 }
 
 // releaseProc retires a finished process's recyclable state: the channel pair
-// returns to the pool, the machine and footprint cache are dropped, and the
-// proc's byte cost leaves the live-bytes account. Called by the dispatch
-// loops the moment they observe stateDone — safe because a done proc is never
-// resumed again (wantsWake) and the spawn wrapper's final yield send was its
-// last touch of the channels. Inside an epoch group the accounting is
-// buffered group-locally and merged at commit, keeping group execution free
-// of shared writes.
-func (e *Engine) releaseProc(p *Proc, g *execGroup) {
+// returns to the pool, the machine is dropped, and the proc's byte cost leaves
+// the live-bytes account. Called by the dispatch loop the moment it observes
+// stateDone — safe because a done proc is never resumed again (wantsWake) and
+// the spawn wrapper's final yield send was its last touch of the channels.
+func (e *Engine) releaseProc(p *Proc) {
 	if p.chans != nil {
 		putChanPair(p.chans)
 		p.chans = nil
@@ -215,14 +210,6 @@ func (e *Engine) releaseProc(p *Proc, g *execGroup) {
 		p.yield = nil
 	}
 	p.fm = nil
-	p.fpCache = nil
-	if g != nil {
-		g.releasedBytes += uint64(p.cost)
-		if p.flat {
-			g.releasedProcs++
-		}
-		return
-	}
 	e.liveProcBytes -= uint64(p.cost)
 	if p.flat {
 		e.arenaLive--
@@ -230,8 +217,7 @@ func (e *Engine) releaseProc(p *Proc, g *execGroup) {
 }
 
 // chargeProc adds a newly spawned process's byte cost to the live account and
-// updates the peak. Spawns happen in scheduler or setup context, never inside
-// concurrent group execution.
+// updates the peak.
 func (e *Engine) chargeProc(p *Proc) {
 	e.liveProcBytes += uint64(p.cost)
 	if e.liveProcBytes > e.stats.PeakProcBytes {

@@ -90,13 +90,10 @@ func pingBody(s *pingState) func(p *Proc) {
 // runPingWorld wires nPairs ping-pong pairs into a fresh engine and returns
 // the emission stream plus final stats. kind selects the construction:
 // "body" (blocking goroutine bodies), "machine-go" (machines on goroutine
-// trampolines), "machine-flat" (arena-allocated flat machines). With
-// footprints=true each pair declares a private resource pair so the world
-// runs under epoch dispatch at the given worker width.
-func runPingWorld(t *testing.T, kind string, nPairs, iters, workers int, footprints bool) (string, Stats) {
+// trampolines), "machine-flat" (arena-allocated flat machines).
+func runPingWorld(t *testing.T, kind string, nPairs, iters int) (string, Stats) {
 	t.Helper()
 	e := NewEngine()
-	e.SetWorkers(workers)
 	e.SetFlat(kind == "machine-flat")
 	var out strings.Builder
 	e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
@@ -116,11 +113,6 @@ func runPingWorld(t *testing.T, kind string, nPairs, iters, workers int, footpri
 				// The machine copied the state; fish it back out for wiring.
 				s = &e.procs[len(e.procs)-1].fm.(*pingMachine).pingState
 			}
-			if footprints {
-				ra, rb := Res(1+2*i), Res(2+2*i)
-				p.SetRes(Res(1 + 2*i + j))
-				p.SetFootprint(func(dst []Res) []Res { return append(dst, ra, rb) })
-			}
 			return s, p
 		}
 		s0, p0 := mk(0, true)
@@ -138,9 +130,9 @@ func runPingWorld(t *testing.T, kind string, nPairs, iters, workers int, footpri
 // goroutine trampolines, and as flat arena machines produces byte-identical
 // emission streams, and the two machine forms agree on scheduler stats.
 func TestMachineMatchesBody(t *testing.T) {
-	body, _ := runPingWorld(t, "body", 4, 5, 1, false)
-	mgo, sgo := runPingWorld(t, "machine-go", 4, 5, 1, false)
-	mflat, sflat := runPingWorld(t, "machine-flat", 4, 5, 1, false)
+	body, _ := runPingWorld(t, "body", 4, 5)
+	mgo, sgo := runPingWorld(t, "machine-go", 4, 5)
+	mflat, sflat := runPingWorld(t, "machine-flat", 4, 5)
 	if body != mgo {
 		t.Fatalf("machine-on-goroutine diverged from body:\nbody:\n%s\nmachine:\n%s", body, mgo)
 	}
@@ -155,29 +147,12 @@ func TestMachineMatchesBody(t *testing.T) {
 	}
 }
 
-// TestFlatEpochWidths runs footprinted flat machines under epoch dispatch at
-// widths 1/2/4/8 and requires byte-identical emissions, matching the
-// goroutine engine at every width.
-func TestFlatEpochWidths(t *testing.T) {
-	ref, _ := runPingWorld(t, "machine-go", 8, 4, 1, true)
-	for _, w := range []int{1, 2, 4, 8} {
-		flat, _ := runPingWorld(t, "machine-flat", 8, 4, w, true)
-		if flat != ref {
-			t.Fatalf("flat width %d diverged from goroutine width 1:\nref:\n%s\ngot:\n%s", w, ref, flat)
-		}
-		goro, _ := runPingWorld(t, "machine-go", 8, 4, w, true)
-		if goro != ref {
-			t.Fatalf("goroutine width %d diverged from width 1", w)
-		}
-	}
-}
-
 // TestFlatArenaAccounting checks the new Stats fields: flat worlds report
 // arena capacity and peak-live counts, and the per-proc byte accounting makes
 // flat machines dramatically cheaper than the same machines on goroutines.
 func TestFlatArenaAccounting(t *testing.T) {
-	_, sflat := runPingWorld(t, "machine-flat", 16, 2, 1, false)
-	_, sgo := runPingWorld(t, "machine-go", 16, 2, 1, false)
+	_, sflat := runPingWorld(t, "machine-flat", 16, 2)
+	_, sgo := runPingWorld(t, "machine-go", 16, 2)
 	if sflat.ArenaSlots != arenaSlab {
 		t.Fatalf("ArenaSlots = %d, want one slab (%d)", sflat.ArenaSlots, arenaSlab)
 	}

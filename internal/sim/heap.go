@@ -18,13 +18,6 @@ type event struct {
 	// the future is not an in-flight message, so it must not hold back an
 	// AtQuiesce callback.
 	background bool
-
-	// res lists the resources a callback event touches, for epoch grouping
-	// (AtRes/AtArg). nres is the live prefix of res; untagged events
-	// (nres == 0) are treated as touching Global. Proc events ignore these
-	// fields: their footprint comes from the proc's FootprintFn.
-	res  [4]Res
-	nres uint8
 }
 
 // isCallback reports whether the event runs in scheduler context.
@@ -54,7 +47,7 @@ type eventHeap struct {
 	// maxDepth is the high-water mark of pending events, for capacity
 	// planning (Stats.MaxHeapDepth).
 	maxDepth int
-	// bg counts pending background events, so the dispatch loops can tell
+	// bg counts pending background events, so the dispatch loop can tell
 	// "only far-future alarms remain" (len() == bg) from real pending work.
 	bg int
 }

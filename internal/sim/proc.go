@@ -70,96 +70,16 @@ type Proc struct {
 	lastWakeAt   Time
 	lastWakeLive bool
 
-	// regroupEpoch is the epoch id during which the process last called
-	// YieldRegroup. Its resume timer is spilled to the next epoch, so wakes
-	// popped for it later in that same epoch must be spilled too — they may
-	// postdate the spilled timer in virtual time, and stale-dropping them
-	// would break the in-heap guarantee that a scheduled process's timer
-	// fires no earlier than any wake dropped while it slept.
-	regroupEpoch uint64
-
-	// Parallel dispatch state: res is the process's identity resource (wakes
-	// route to the epoch group owning it), footprint declares what the
-	// process may touch, group is the epoch group currently running it (nil
-	// under sequential dispatch), fpCache/fpEpoch memoize the footprint once
-	// per epoch.
-	res       Res
-	footprint FootprintFn
-	group     *execGroup
-	fpCache   []Res
-	fpEpoch   uint64
-
 	// Data is an arbitrary per-process slot for the layer above (the MPI
 	// runtime stores its per-rank state here).
 	Data any
 }
 
-// SetRes declares the process's identity resource, used to route wakes to
-// the owning epoch group. Call before Run.
-func (p *Proc) SetRes(r Res) { p.res = r }
-
-// SetFootprint installs the process's resource footprint and switches the
-// engine to epoch dispatch (see FootprintFn). Call before Run.
-func (p *Proc) SetFootprint(fn FootprintFn) {
-	p.footprint = fn
-	if fn != nil {
-		p.eng.anyFootprint = true
-	}
-}
-
-// CanTouch reports whether the process's current epoch group owns res, i.e.
-// whether process code may touch state guarded by it right now. Always true
-// under sequential dispatch. A process that needs a resource it cannot touch
-// must widen its footprint and YieldRegroup.
-func (p *Proc) CanTouch(r Res) bool {
-	g := p.group
-	if g == nil {
-		return true
-	}
-	owner := p.eng.epoch.owner
-	return int(r) < len(owner) && owner[r] == g
-}
-
-// YieldRegroup reschedules the process into the next epoch at its current
-// virtual time, so that its footprint — typically just widened — is
-// re-evaluated and the needed groups merge. Costs no virtual time; execution
-// resumes after the call. A no-op under sequential dispatch.
-func (p *Proc) YieldRegroup() {
-	g := p.group
-	if g == nil {
-		return
-	}
-	g.seq++
-	g.spill = append(g.spill, event{t: p.now, seq: g.seq, proc: p, timer: true})
-	g.stats.RegroupYields++
-	p.state = stateScheduled
-	// Record the yield so wakes aimed at this process later in the epoch are
-	// spilled rather than stale-dropped: the resume timer above fires only
-	// next epoch, so unlike an in-heap timer it may predate those wakes, and
-	// dropping them would lose the condition they signal (the process would
-	// re-check before the waker's virtual time and park forever).
-	p.regroupEpoch = p.eng.epochID
-	// timerSeq is re-keyed at commit, when the spill gets its global seq.
-	p.switchOut()
-}
-
-// Emit forwards payload to the engine's emitter (SetEmitter) at the
-// process's current virtual time. Under epoch dispatch the payload is
-// buffered in the process's group and flushed at the epoch barrier in
-// deterministic (t, group index, group-local seq) order; under sequential
-// dispatch it is forwarded immediately. A no-op without an emitter.
+// Emit forwards payload to the engine's emitter (SetEmitter) immediately, in
+// dispatch order. A no-op without an emitter.
 func (p *Proc) Emit(payload any) {
 	p.checkStep("Emit")
-	e := p.eng
-	if e.emit == nil {
-		return
-	}
-	if g := p.group; g != nil {
-		g.seq++
-		g.emits = append(g.emits, emitRec{t: p.now, seq: g.seq, payload: payload})
-		return
-	}
-	e.emit(payload)
+	p.eng.Emit(payload)
 }
 
 // ID returns the spawn-order index of the process.
@@ -183,16 +103,6 @@ func (p *Proc) checkStep(op string) {
 		panic(fmt.Sprintf("proc %q: %s after the step's blocking primitive (flat-mode contract: block last)", p.name, op))
 	}
 }
-
-// Deferred reports whether the current machine step already invoked its
-// blocking primitive — i.e. the call recorded a continuation instead of
-// completing. Machine code that wraps a possibly-blocking helper (one that
-// may Park or YieldRegroup internally) checks Deferred after the call: true
-// means the step must unwind and return More so the primitive stays the
-// step's last action. Always false for goroutine-backed procs, whose
-// primitives block for real and return only after the wake — so a machine
-// polling Deferred behaves identically on both engines.
-func (p *Proc) Deferred() bool { return p.fm != nil && p.blocked }
 
 // wantsWake reports whether a popped proc event is a live wake for p.
 // Scheduled processes accept only their own timer; parked processes accept
@@ -245,16 +155,7 @@ func (p *Proc) Advance(d Time) {
 		return
 	}
 	target := p.now + d
-	if g := p.group; g != nil {
-		// Epoch dispatch: only this group's events can affect this process
-		// before the next barrier, so the fast path consults the group heap.
-		// Group membership is decided at formation, so the outcome is
-		// identical for any worker count.
-		if min, ok := g.pq.minTime(); !ok || min >= target {
-			p.now = target
-			return
-		}
-	} else if min, ok := p.eng.pq.minTime(); !ok || min >= target {
+	if min, ok := p.eng.pq.minTime(); !ok || min >= target {
 		p.now = target
 		return
 	}
@@ -271,13 +172,7 @@ func (p *Proc) Sleep(d Time) {
 }
 
 func (p *Proc) sleepUntil(t Time) {
-	if g := p.group; g != nil {
-		p.timerSeq = g.pushLocal(event{t: t, proc: p, timer: true})
-	} else {
-		p.eng.seq++
-		p.timerSeq = p.eng.seq
-		p.eng.pq.push(event{t: t, seq: p.eng.seq, proc: p, timer: true})
-	}
+	p.timerSeq = p.eng.push(event{t: t, proc: p, timer: true})
 	p.state = stateScheduled
 	p.switchOut()
 }
@@ -304,23 +199,6 @@ func (p *Proc) Park() {
 // whose body already returned are likewise dropped.
 func (p *Proc) UnparkAt(at Time) {
 	e := p.eng
-	if e.epoch != nil {
-		// Epoch dispatch: the wake belongs to the group owning the target's
-		// identity resource — which is the caller's own group, since touching
-		// another process requires having claimed it in the footprint.
-		g := e.groupFor(p.res)
-		if at < g.now {
-			at = g.now
-		}
-		if p.state == stateDone || (p.lastWakeLive && p.lastWakeAt == at) {
-			g.stats.CoalescedWakes++
-			return
-		}
-		g.pushLocal(event{t: at, proc: p})
-		p.lastWakeAt = at
-		p.lastWakeLive = true
-		return
-	}
 	if at < e.now {
 		at = e.now
 	}
@@ -328,8 +206,7 @@ func (p *Proc) UnparkAt(at Time) {
 		e.stats.CoalescedWakes++
 		return
 	}
-	e.seq++
-	e.pq.push(event{t: at, seq: e.seq, proc: p})
+	e.push(event{t: at, proc: p})
 	p.lastWakeAt = at
 	p.lastWakeLive = true
 }

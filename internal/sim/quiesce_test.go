@@ -63,33 +63,6 @@ func TestAtQuiesceReleasesParkedProc(t *testing.T) {
 	}
 }
 
-// The same semantics must hold under epoch dispatch.
-func TestAtQuiesceEpochDispatch(t *testing.T) {
-	e := NewEngine()
-	e.SetWorkers(4)
-	const rcount = Res(1)
-	released := false
-	var p *Proc
-	p = e.Go("waiter", func(pp *Proc) {
-		for !released {
-			pp.Park()
-		}
-	})
-	p.SetRes(rcount)
-	p.SetFootprint(func(dst []Res) []Res { return append(dst, rcount) })
-	e.Go("other", func(pp *Proc) { pp.Sleep(2 * Microsecond) })
-	e.AtQuiesce(func() {
-		released = true
-		p.UnparkAt(e.Now())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !released {
-		t.Fatal("quiesce callback never fired under epoch dispatch")
-	}
-}
-
 // A quiesce callback that does NOT release parked processes still surfaces the
 // deadlock.
 func TestAtQuiesceDeadlockStillReported(t *testing.T) {
