@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -13,6 +12,12 @@ import (
 // deterministic (virtual time, sequence) order, so every simulated result is
 // reproducible and data-race-free. Sequential (t, seq) dispatch is the
 // engine's one semantics: there is no other loop.
+//
+// The loop has no goroutine of its own. It runs on whichever goroutine holds
+// control — Run's caller, or the goroutine proc that just blocked or
+// finished — and that goroutine hands control straight to the next proc
+// over its resume channel: one handoff per proc switch, none when a proc's
+// own wake is next.
 //
 // Typical use:
 //
@@ -28,6 +33,12 @@ type Engine struct {
 
 	stopped bool
 	failure error
+
+	// home is where the loop hands control back to Run's goroutine when the
+	// run is over; cbPanic is a callback panic caught on whichever goroutine
+	// carried the loop, re-raised by Run on its own.
+	home    chan struct{}
+	cbPanic any
 
 	stats Stats
 
@@ -202,37 +213,24 @@ func (e *Engine) push(ev event) uint64 {
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
-// The process body runs on its own goroutine but executes only while the
-// engine has handed it control, so process code never races with other
-// processes or with scheduler callbacks. Spawn before Run.
+// The process body runs on its own goroutine but executes only while it
+// holds control, so process code never races with other processes or with
+// scheduler callbacks. Spawn before Run.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	pair := getChanPair()
 	p := &Proc{
 		eng:    e,
 		id:     len(e.procs),
 		name:   name,
 		now:    e.now,
 		state:  stateScheduled,
-		chans:  pair,
-		resume: pair.resume,
-		yield:  pair.yield,
+		resume: make(chan struct{}, 1),
 	}
 	p.cost = uint32(procBytes + goroutineOverheadBytes)
 	e.chargeProc(p)
 	e.procs = append(e.procs, p)
 	go func() {
 		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if abort, ok := r.(engineAbort); ok {
-					p.panicked = abort.err
-				} else {
-					p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.state = stateDone
-			p.yield <- struct{}{}
-		}()
+		defer p.exit()
 		body(p)
 	}()
 	p.timerSeq = e.push(event{t: e.now, proc: p, timer: true})
@@ -273,9 +271,17 @@ func (d *DeadlockError) Error() string {
 // Run dispatches events in virtual-time order until the queue drains, a
 // process panics, or Stop/Fail is called. It returns a *DeadlockError if
 // processes remain blocked when the queue empties, the recorded error on
-// Fail or process panic, and nil otherwise.
+// Fail or process panic, and nil otherwise. A panicking callback panics Run
+// with the same value.
 func (e *Engine) Run() error {
-	e.dispatch()
+	if next := e.run(); next != nil {
+		e.home = make(chan struct{}, 1)
+		e.handoff(next)
+		<-e.home
+	}
+	if r := e.cbPanic; r != nil {
+		panic(r)
+	}
 	if e.failure != nil {
 		return e.failure
 	}
@@ -292,25 +298,53 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// dispatch is the engine's one loop: run events in (t, seq) order until the
-// queue drains or the run stops.
-func (e *Engine) dispatch() {
-	for e.step() {
+// run is the engine's one loop: it dispatches events in (t, seq) order on
+// the calling goroutine until a goroutine-backed proc must take control,
+// and returns that proc, already marked running. It returns nil when the
+// run is over: the queue drained or the run stopped.
+func (e *Engine) run() *Proc {
+	defer e.catch()
+	for {
+		if next, ok := e.step(); next != nil || !ok {
+			return next
+		}
 	}
 }
 
+// catch stops the run on a callback panic and keeps the value for Run to
+// re-raise: the loop may be running on a bystander proc's goroutine, which
+// must neither absorb the panic nor be blamed for it. (Machine steps recover
+// their own panics, so only a callback's can reach run.)
+func (e *Engine) catch() {
+	if r := recover(); r != nil {
+		e.cbPanic = r
+		e.stopped = true
+	}
+}
+
+// handoff passes control to next, or back to Run's goroutine when the run is
+// over (next == nil). The caller must not touch engine state afterwards.
+func (e *Engine) handoff(next *Proc) {
+	if next == nil {
+		e.home <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
 // step dispatches the earliest pending event — or, when only background
-// alarms remain, the oldest quiesce callback — and reports whether the run
-// goes on.
-func (e *Engine) step() bool {
+// alarms remain, the oldest quiesce callback. Callbacks and flat machines run
+// inline; a goroutine-backed proc whose wake it is comes back as next, marked
+// running. ok reports whether the run goes on.
+func (e *Engine) step() (next *Proc, ok bool) {
 	if e.stopped {
-		return false
+		return nil, false
 	}
 	if e.pq.len() == e.pq.bg && e.popQuiesce() {
-		return true // quiescent: only background alarms (if any) remain
+		return nil, true // quiescent: only background alarms (if any) remain
 	}
 	if e.pq.len() == 0 {
-		return false
+		return nil, false
 	}
 	ev := e.pq.pop()
 	e.now = ev.t
@@ -318,7 +352,7 @@ func (e *Engine) step() bool {
 	if ev.isCallback() {
 		e.stats.Callbacks++
 		ev.invoke()
-		return true
+		return nil, true
 	}
 	p := ev.proc
 	if p != nil && !ev.timer && ev.t == p.lastWakeAt {
@@ -326,18 +360,22 @@ func (e *Engine) step() bool {
 	}
 	if p == nil || !p.wantsWake(ev) {
 		e.stats.StaleWakes++
-		return true // stale wake: the condition it signalled was already consumed
+		return nil, true // stale wake: the condition it signalled was already consumed
 	}
 	e.stats.Resumes++
 	if p.now < ev.t {
 		p.now = ev.t
 	}
-	e.resumeProc(p)
+	p.state = stateRunning
+	if !p.flat {
+		return p, true
+	}
+	p.runMachine()
 	if p.panicked != nil {
 		e.Fail(p.panicked)
 	}
 	if p.state == stateDone {
 		e.releaseProc(p)
 	}
-	return true
+	return nil, true
 }

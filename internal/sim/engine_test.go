@@ -488,12 +488,10 @@ func (m *exchanger) Step(p *Proc) Flow {
 	return More
 }
 
-// TestEpochLoopAllocationFree guards the dispatch loop's hot path: once a
+// TestDispatchLoopAllocationFree guards the dispatch loop's hot path: once a
 // steady 64-proc flat pair exchange has warmed up, popping an event, waking
 // or stepping its proc and queueing the follow-up events allocates nothing.
-// (The name predates the removal of epoch dispatch; the loop it guards is
-// the engine's only one.)
-func TestEpochLoopAllocationFree(t *testing.T) {
+func TestDispatchLoopAllocationFree(t *testing.T) {
 	e := NewEngine()
 	e.SetFlat(true)
 	const procs = 64
@@ -507,13 +505,13 @@ func TestEpochLoopAllocationFree(t *testing.T) {
 		ms[i].peer = ps[i^1]
 	}
 	for i := 0; i < 100*procs; i++ {
-		if !e.step() {
+		if _, ok := e.step(); !ok {
 			t.Fatal("exchange stopped during warm-up")
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < procs; i++ {
-			if !e.step() {
+			if _, ok := e.step(); !ok {
 				t.Fatal("exchange stopped")
 			}
 		}

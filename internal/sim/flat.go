@@ -2,11 +2,11 @@ package sim
 
 // Flat execution mode: continuation state machines instead of goroutines.
 //
-// The legacy engine gives every simulated process its own goroutine plus a
-// resume/yield channel pair; handing control over is two channel operations
-// and a scheduler round-trip, and every process costs at least a 2 KiB stack
-// span before it has done anything. That is fine for hundreds of ranks and
-// ruinous for hundreds of thousands.
+// A goroutine proc is its own goroutine plus a resume channel; handing
+// control to it is a channel handoff (a Go scheduler park and ready), and
+// every such process costs at least a 2 KiB stack span before it has done
+// anything. That is fine for hundreds of ranks and ruinous for hundreds of
+// thousands.
 //
 // A Machine is the flat alternative: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime/debug"
-	"sync"
 )
 
 // Flow is a Machine step verdict: More keeps the machine alive (it either
@@ -110,7 +108,6 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 			e.stats.ArenaPeakLive = e.arenaLive
 		}
 	} else {
-		pair := getChanPair()
 		p = &Proc{
 			eng:    e,
 			id:     len(e.procs),
@@ -118,9 +115,7 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 			now:    e.now,
 			state:  stateScheduled,
 			fm:     m,
-			chans:  pair,
-			resume: pair.resume,
-			yield:  pair.yield,
+			resume: make(chan struct{}, 1),
 		}
 		cost += goroutineOverheadBytes
 		go machineTrampoline(p, m)
@@ -140,35 +135,21 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 // the exact same machine code.
 func machineTrampoline(p *Proc, m Machine) {
 	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			if abort, ok := r.(engineAbort); ok {
-				p.panicked = abort.err
-			} else {
-				p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
-		}
-		p.state = stateDone
-		p.yield <- struct{}{}
-	}()
+	defer p.exit()
 	for m.Step(p) == More {
 	}
 }
 
 // runMachine steps a flat machine until it blocks or finishes. It is the flat
-// counterpart of the resume-handshake: called from the dispatch loop with
-// p.state == stateRunning, it returns with the process either blocked (a
+// counterpart of a goroutine proc's resume: called from the dispatch loop
+// with p.state == stateRunning, it returns with the process either blocked (a
 // primitive recorded the continuation) or done. Panics — including
-// Fatalf/Fail aborts — are converted to p.panicked exactly as the goroutine
-// spawn wrapper does.
+// Fatalf/Fail aborts — are converted to p.panicked exactly as a goroutine
+// proc's exit does.
 func (p *Proc) runMachine() {
 	defer func() {
 		if r := recover(); r != nil {
-			if abort, ok := r.(engineAbort); ok {
-				p.panicked = abort.err
-			} else {
-				p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
+			p.recordPanic(r)
 			p.state = stateDone
 		}
 	}()
@@ -184,31 +165,13 @@ func (p *Proc) runMachine() {
 	}
 }
 
-// resumeProc hands control to p until it blocks again: the channel handshake
-// for goroutine-backed procs, a direct runMachine call for flat ones. The
-// caller checks p.panicked and releases the proc if it finished.
-func (e *Engine) resumeProc(p *Proc) {
-	p.state = stateRunning
-	if p.flat {
-		p.runMachine()
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
-// releaseProc retires a finished process's recyclable state: the channel pair
-// returns to the pool, the machine is dropped, and the proc's byte cost leaves
-// the live-bytes account. Called by the dispatch loop the moment it observes
-// stateDone — safe because a done proc is never resumed again (wantsWake) and
-// the spawn wrapper's final yield send was its last touch of the channels.
+// releaseProc retires a finished process's state: the resume channel and the
+// machine are dropped, and the proc's byte cost leaves the live-bytes
+// account. Called the moment the proc is done (by the dispatch loop for flat
+// procs, by finish on a goroutine proc's own goroutine) — safe because a done
+// proc is never resumed again (wantsWake).
 func (e *Engine) releaseProc(p *Proc) {
-	if p.chans != nil {
-		putChanPair(p.chans)
-		p.chans = nil
-		p.resume = nil
-		p.yield = nil
-	}
+	p.resume = nil
 	p.fm = nil
 	e.liveProcBytes -= uint64(p.cost)
 	if p.flat {
@@ -227,7 +190,7 @@ func (e *Engine) chargeProc(p *Proc) {
 
 // Per-process byte accounting. The goroutine numbers are a deliberate floor —
 // a real goroutine's stack starts at one 2 KiB span and only grows, and the
-// runtime g descriptor and two unbuffered channels are measured from the Go
+// runtime g descriptor and the resume channel are measured from the Go
 // runtime's own struct sizes — so the flat-vs-goroutine ratio the engine
 // reports understates the real advantage rather than flattering it.
 const (
@@ -235,10 +198,11 @@ const (
 	goroutineStackBytes = 2048
 	// goroutineDescBytes approximates the runtime g descriptor.
 	goroutineDescBytes = 416
-	// chanPairBytes is two unbuffered struct{} channels (hchan headers).
-	chanPairBytes = 192
+	// chanBytes is the resume channel: one struct{} hchan header (its
+	// one-slot buffer of a zero-size type takes no space).
+	chanBytes = 96
 
-	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + chanPairBytes
+	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + chanBytes
 )
 
 // procBytes is the facade struct itself, charged to every process kind.
@@ -289,19 +253,3 @@ func (e *Engine) arenaAlloc() *Proc {
 	*slab = append(*slab, Proc{})
 	return &(*slab)[len(*slab)-1]
 }
-
-// chanPair is a pooled resume/yield channel pair. Unbuffered channels carry
-// no state between uses, so a pair whose owner finished (the done handshake
-// is the spawn wrapper's last channel touch) is safe to hand to the next
-// spawn.
-type chanPair struct {
-	resume chan struct{}
-	yield  chan struct{}
-}
-
-var chanPairPool = sync.Pool{New: func() any {
-	return &chanPair{resume: make(chan struct{}), yield: make(chan struct{})}
-}}
-
-func getChanPair() *chanPair  { return chanPairPool.Get().(*chanPair) }
-func putChanPair(c *chanPair) { chanPairPool.Put(c) }

@@ -234,19 +234,6 @@ func TestFlatContractViolationFails(t *testing.T) {
 	}
 }
 
-// TestChanPairPoolRoundTrip: finished goroutine procs return their channel
-// pair to the pool and drop the reference.
-func TestChanPairPoolRoundTrip(t *testing.T) {
-	e := NewEngine()
-	p := e.Go("solo", func(p *Proc) { p.Sleep(Nanosecond) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if p.chans != nil || p.resume != nil || p.yield != nil {
-		t.Fatalf("finished proc kept channel references")
-	}
-}
-
 // TestFlatFromEnv pins the engine-selection contract: explicit
 // CMPI_SIM_ENGINE values win, the empty value falls back to the size
 // threshold, and a set-but-unrecognized value is a deterministic parse

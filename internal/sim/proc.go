@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // procState tracks where a simulated process is in its lifecycle.
 type procState int8
@@ -44,22 +47,19 @@ type Proc struct {
 	name     string
 	now      Time
 	state    procState
-	timerSeq uint64 // sequence of the live timer event, when stateScheduled
-	resume   chan struct{}
-	yield    chan struct{}
+	timerSeq uint64        // sequence of the live timer event, when stateScheduled
+	resume   chan struct{} // control handoff to a goroutine proc (nil for flat procs)
 	panicked error
 
 	// Machine execution state (flat.go): fm is the continuation machine (nil
 	// for blocking Go bodies), flat marks procs stepped directly by the
-	// dispatch loops (no goroutine, no channels), blocked records that the
-	// current flat step invoked its one blocking primitive. chans is the
-	// pooled channel pair backing resume/yield (nil for flat procs), and cost
-	// is the engine's byte accounting for this proc (Stats.PeakProcBytes).
+	// dispatch loop (no goroutine, no channel), blocked records that the
+	// current flat step invoked its one blocking primitive, and cost is the
+	// engine's byte accounting for this proc (Stats.PeakProcBytes).
 	fm      Machine
 	flat    bool
 	blocked bool
 	cost    uint32
-	chans   *chanPair
 
 	// lastWakeAt / lastWakeLive track the most recently queued Unpark event
 	// so duplicate wakes for the same virtual time can be coalesced instead
@@ -119,8 +119,11 @@ func (p *Proc) wantsWake(ev event) bool {
 	}
 }
 
-// switchOut hands control back to the scheduler and blocks until resumed.
-// The caller must have already set p.state and scheduled/arranged a wake.
+// switchOut gives up control and returns once p is resumed. The caller must
+// have already set p.state and scheduled/arranged a wake. A goroutine proc
+// carries the dispatch loop on itself: if its own wake comes up first it
+// simply returns, otherwise it hands control to the next holder and blocks on
+// its resume channel.
 // Flat machines cannot be suspended mid-step: the continuation is the next
 // Step call, so switchOut only records that the step blocked — which is why a
 // machine step may block at most once, as its last action (see flat.go).
@@ -132,8 +135,45 @@ func (p *Proc) switchOut() {
 		p.blocked = true
 		return
 	}
-	p.yield <- struct{}{}
+	e := p.eng
+	next := e.run()
+	if next == p {
+		return
+	}
+	e.handoff(next)
 	<-p.resume
+}
+
+// exit is the deferred epilogue of a goroutine proc (Go body or machine
+// trampoline): it records a panic or abort, then finishes the proc. A body
+// that calls runtime.Goexit finishes the same way.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		p.recordPanic(r)
+	}
+	p.finish()
+}
+
+// finish retires a goroutine proc whose body has ended, carries the dispatch
+// loop on and hands control to the next holder; the goroutine then ends.
+func (p *Proc) finish() {
+	e := p.eng
+	p.state = stateDone
+	if p.panicked != nil {
+		e.Fail(p.panicked)
+	}
+	e.releaseProc(p)
+	e.handoff(e.run())
+}
+
+// recordPanic converts a recovered body panic into the proc's failure: a
+// Fatalf/Fail abort as given, anything else with its stack.
+func (p *Proc) recordPanic(r any) {
+	if abort, ok := r.(engineAbort); ok {
+		p.panicked = abort.err
+	} else {
+		p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+	}
 }
 
 // Advance moves the local clock forward by d, modeling local work that costs
